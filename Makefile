@@ -63,14 +63,26 @@ crash:
 
 # stress hammers the supervised rule executor under the race detector:
 # mixed panicking/deadlocking/failing rules, WAL fault injection armed,
-# plus the Drain/WaitDetached race and crash-consistency invariants, in
-# short mode so the whole target stays CI-sized. The storage leg
-# asserts the WAL-growth bound: segment chains stay short under
-# sustained traffic with checkpoints.
+# plus the Drain/WaitDetached race, retry backoff under a virtual
+# clock and crash-consistency invariants, in short mode so the whole
+# target stays CI-sized. The lock leg checks the nested waits-for
+# rules, the intent leg concurrent read-modify-write rule firings, and
+# the temporal leg loops the detached-retry wedge's old reproducers.
+# The storage leg asserts the WAL-growth bound: segment chains stay
+# short under sustained traffic with checkpoints.
 stress:
 	$(GO) test -race -short -timeout 120s -count=1 \
-		-run 'TestExecutorStress|TestDrainWaitDetachedRace|TestDetachedRuleFaultInjection|TestDetachedDeadlockRetry' \
+		-run 'TestExecutorStress|TestDrainWaitDetachedRace|TestDetachedRuleFaultInjection|TestDetachedDeadlockRetry|TestRetryBackoffIgnoresVirtualClock' \
 		./internal/eca
+	$(GO) test -race -timeout 120s -count=1 \
+		-run 'TestNestedCrossDeadlockDetected|TestNestedUpgradeDeadlockDetected|TestCycleThroughHoldersParent|TestSiblingWaitsNoFalseDeadlock|TestOvertakingGrantJoinsGraph|TestParallelSiblingsNoFalseDeadlock' \
+		./internal/txn
+	$(GO) test -race -timeout 120s -count=1 \
+		-run 'TestImmediateReadModifyWriteNoVictims|TestDetachedReadModifyWriteNoRetries' \
+		./internal/rules
+	$(GO) test -race -timeout 120s -count=20 \
+		-run 'TestTemporalRuleViaPublicAPI|TestTemporalRuleThroughDSL' \
+		. ./internal/rules
 	$(GO) test -race -timeout 120s -count=1 \
 		-run 'TestWALGrowthBounded|TestStoreCheckpointWithActiveTxn|TestBackgroundCheckpointer' \
 		./internal/storage

@@ -3,11 +3,13 @@ package eca
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/event"
+	"repro/internal/txn"
 )
 
 // compositeMgr is a composite ECA-manager: it owns the composers for
@@ -89,6 +91,7 @@ func (e *Engine) DefineComposite(decl *algebra.Composite) error {
 			subscribe = append(subscribe, prim)
 		}
 	}
+	e.refreshTxnCompositesLocked()
 	e.mu.Unlock()
 	for _, prim := range subscribe {
 		e.disp.Subscribe(prim)
@@ -99,6 +102,40 @@ func (e *Engine) DefineComposite(decl *algebra.Composite) error {
 		go cm.loop()
 	}
 	return nil
+}
+
+// refreshTxnCompositesLocked republishes the transaction-scoped
+// composites in EOT flush order: each after every composite it is
+// built on. A composite's completions reach the composites built on it
+// asynchronously, through their channels, so flushing a constituent
+// first — its ack covers everything it sent — is what lets its
+// parent's flush see them. The caller holds e.mu.
+func (e *Engine) refreshTxnCompositesLocked() {
+	level := make(map[*compositeMgr]int, len(e.composites))
+	var depth func(cm *compositeMgr) int
+	depth = func(cm *compositeMgr) int {
+		if l, ok := level[cm]; ok {
+			return l
+		}
+		level[cm] = 0 // guards a composite that (indirectly) contains itself
+		l := 0
+		for _, k := range algebra.PrimitiveKeys(cm.decl.Expr) {
+			if sub := e.composites[k]; sub != nil {
+				l = max(l, depth(sub)+1)
+			}
+		}
+		level[cm] = l
+		return l
+	}
+	var out []*compositeMgr
+	for _, cm := range e.composites {
+		if cm.decl.Scope == algebra.ScopeTransaction {
+			depth(cm)
+			out = append(out, cm)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return level[out[i]] < level[out[j]] })
+	e.txnComps.Store(&out)
 }
 
 // Composites reports the number of defined composite events.
@@ -327,8 +364,12 @@ func (e *Engine) handleCompletions(cm *compositeMgr, completions []*event.Instan
 		if comp.Seq == 0 {
 			comp.Seq = e.seq.Add(1)
 		}
-		e.record(cm.mgr, comp)
 		trigger := e.trigger(comp)
+		var owner *txn.Txn
+		if trigger != nil {
+			owner = trigger.Top()
+		}
+		e.record(cm.mgr, comp, owner)
 		// Errors from (unsafe) immediate composite rules have no
 		// transaction to veto here; they surface on the rule txn.
 		e.fireRules(cm.mgr, comp, trigger)

@@ -29,12 +29,7 @@ type deferredEntry struct {
 }
 
 func (e *Engine) deferredQueue(top *txn.Txn) *deferredQueue {
-	if q, ok := top.Value(deferredKey{}).(*deferredQueue); ok {
-		return q
-	}
-	q := &deferredQueue{}
-	top.SetValue(deferredKey{}, q)
-	return q
+	return top.ValueOrInit(deferredKey{}, func() any { return &deferredQueue{} }).(*deferredQueue)
 }
 
 // enqueueDeferred queues a whole rule for execution at the top-level

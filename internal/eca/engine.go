@@ -231,6 +231,7 @@ type engineMetrics struct {
 	deferredDepth  *obs.Gauge
 	execInflight   *obs.Gauge
 	historyBytes   *obs.Gauge
+	consolidated   *obs.Counter
 	rejGovernor    *obs.Counter
 	breakerEvicted *obs.Counter
 	deadEvicted    *obs.Counter
@@ -304,6 +305,8 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 			"Accepted detached firings not yet finished (queued or running)."),
 		historyBytes: reg.Gauge("reach_event_history_bytes",
 			"Approximate bytes held across all event-history shards (local and global)."),
+		consolidated: reg.Counter("reach_history_consolidated_managers_total",
+			"Local histories visited by history consolidation at top-level commit or abort."),
 		rejGovernor: reg.Counter(rejected, rejectedHelp, "reason", "governor-shed"),
 		breakerEvicted: reg.Counter("reach_rule_breaker_evicted_total",
 			"Circuit-breaker records garbage-collected when their rule was unloaded."),
@@ -329,6 +332,9 @@ type Engine struct {
 	// under e.mu on every registration, so the per-event lookup on the
 	// raise path is one atomic load instead of an RLock.
 	mgrSnap atomic.Pointer[map[string]*Manager]
+	// txnComps is the transaction-scoped composites in EOT flush order,
+	// republished under e.mu whenever a composite is defined.
+	txnComps atomic.Pointer[[]*compositeMgr]
 
 	seq atomic.Uint64
 
@@ -803,7 +809,13 @@ func (e *Engine) txnOutcome(id uint64) (live *txn.Txn, st txn.Status, known bool
 // is propagated to the composite ECA-managers (Figure 2). The return
 // value is the go-ahead signal: an error from an immediate rule vetoes
 // the operation.
-func (e *Engine) Consume(in *event.Instance) error {
+func (e *Engine) Consume(in *event.Instance) error { return e.consume(in, nil) }
+
+// consume is Consume with the top-level transaction whose history the
+// occurrence belongs to. A nil owner is derived from the triggering
+// transaction; commit and abort events pass theirs explicitly, because
+// they are raised after the transaction has left the active set.
+func (e *Engine) consume(in *event.Instance, owner *txn.Txn) error {
 	e.met.events.Inc()
 	if in.Seq == 0 {
 		in.Seq = e.seq.Add(1)
@@ -823,8 +835,11 @@ func (e *Engine) Consume(in *event.Instance) error {
 		in.Trace = e.tracer.Begin(in.SpecKey, e.clk.Now())
 	}
 	start := e.clk.Now()
-	e.record(m, in)
 	trigger := e.trigger(in)
+	if owner == nil && trigger != nil {
+		owner = trigger.Top()
+	}
+	e.record(m, in, owner)
 	if in.Depth == 0 && trigger != nil {
 		// Events raised inside a rule transaction inherit the depth the
 		// executing rule stamped on it; application events stay at 0.
@@ -838,14 +853,20 @@ func (e *Engine) Consume(in *event.Instance) error {
 	return err
 }
 
-// record appends the occurrence to the appropriate history (§6.3).
-func (e *Engine) record(m *Manager, in *event.Instance) {
+// record appends the occurrence to the appropriate history (§6.3). In
+// distributed mode it also indexes the manager on owner, the live
+// top-level transaction the occurrence belongs to, so consolidation
+// at its end visits only the histories it touched.
+func (e *Engine) record(m *Manager, in *event.Instance, owner *txn.Txn) {
 	entry := HistoryEntry{Seq: in.Seq, Txn: in.Txn, Key: in.SpecKey, Time: in.Time}
 	if e.opts.History == CentralHistory {
 		e.hist.append(entry)
 		return
 	}
 	m.local.append(entry)
+	if owner != nil && in.Txn == owner.ID() {
+		noteTouched(owner, m)
+	}
 }
 
 // fireRules runs the manager's rules for one occurrence, routing each

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/event"
 	"repro/internal/governor"
 	"repro/internal/txn"
@@ -118,6 +119,12 @@ type executor struct {
 	// parked on a full queue and workers parked in a backoff sleep.
 	drainCh chan struct{}
 	workers sync.WaitGroup
+	// wall times retry backoff. Backoff is a wall-time scheduling
+	// policy, not part of the rule semantics, so it never rides the
+	// engine clock: under a virtual clock that only advances to drive
+	// temporal events, a retry would otherwise park until an Advance
+	// that may never come.
+	wall clock.Clock
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -133,6 +140,7 @@ func newExecutor(e *Engine) *executor {
 		e:        e,
 		queue:    make(chan ruleJob, e.opts.Queue),
 		drainCh:  make(chan struct{}),
+		wall:     clock.NewReal(),
 		breakers: make(map[string]*breaker),
 	}
 	x.cond = sync.NewCond(&x.mu)
@@ -505,7 +513,7 @@ func (x *executor) backoff(attempt int) bool {
 		d += time.Duration(z % span)
 	}
 	select {
-	case <-x.e.clk.After(d):
+	case <-x.wall.After(d):
 		return true
 	case <-x.drainCh:
 		return false

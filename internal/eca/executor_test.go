@@ -20,9 +20,8 @@ import (
 
 // newExecEngine builds an engine over an in-memory database with the
 // monitored Sensor class and the given clock. Retry backoff sleeps on
-// the engine clock, so tests that exercise retries use a real clock
-// (a virtual clock would park the worker until an Advance nobody
-// issues).
+// wall time whatever the engine clock is; rule deadlines follow the
+// engine clock.
 func newExecEngine(t *testing.T, opts Options, clk clock.Clock) (*Engine, *oodb.DB) {
 	t.Helper()
 	db, err := oodb.Open(oodb.Options{Clock: clk})
@@ -119,6 +118,52 @@ func TestDetachedDeadlockRetry(t *testing.T) {
 		if b.Open || b.Consecutive != 0 {
 			t.Fatalf("breaker fed by a retriable abort: %+v", b)
 		}
+	}
+}
+
+// TestRetryBackoffIgnoresVirtualClock: a detached rule fails once with
+// a retriable error on an engine whose virtual clock nobody advances.
+// The retry's backoff waits on wall time, so WaitDetached returns and
+// the logical clock has not moved.
+func TestRetryBackoffIgnoresVirtualClock(t *testing.T) {
+	vc := clock.NewVirtual(epoch)
+	e, db := newExecEngine(t, Options{}, vc)
+	obj := newSensor(t, db)
+	var attempts atomic.Int32
+	if err := e.AddRule(&Rule{
+		Name: "flaky", EventKey: pingKey(), ActionMode: Detached,
+		Action: func(*RuleCtx) error {
+			if attempts.Add(1) == 1 {
+				return fmt.Errorf("forced victim: %w", txn.ErrDeadlock)
+			}
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := vc.Now()
+	fireOnce(t, db, obj)
+	done := make(chan struct{})
+	go func() {
+		e.WaitDetached()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("WaitDetached parked: the retry backoff waits on the virtual clock")
+	}
+	if got := attempts.Load(); got != 2 {
+		t.Fatalf("attempts = %d, want 2 (one forced failure, one retry)", got)
+	}
+	if got := e.met.retries.Value(); got != 1 {
+		t.Fatalf("reach_rule_retries_total = %d, want 1", got)
+	}
+	if dl := e.DeadLetters(); len(dl) != 0 {
+		t.Fatalf("retried firing dead-lettered: %+v", dl)
+	}
+	if !vc.Now().Equal(before) {
+		t.Fatalf("virtual clock moved from %v to %v", before, vc.Now())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/txn"
 )
 
 // HistoryEntry is one recorded event occurrence.
@@ -17,20 +18,16 @@ type HistoryEntry struct {
 	Time time.Time
 }
 
-// historyRing is a fixed-capacity ring buffer of occurrences — the
-// local history each ECA-manager keeps so that logging does not
-// funnel through a central bottleneck (§6.3).
+// historyRing is a bounded ring buffer of occurrences — the local
+// history each ECA-manager keeps so that logging does not funnel
+// through a central bottleneck (§6.3). The buffer is allocated on the
+// first append and grows up to the capacity, so the many managers
+// whose events never occur cost no history memory.
 type historyRing struct {
-	buf   []HistoryEntry
-	start int
-	n     int
-}
-
-func newHistoryRing(capacity int) *historyRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &historyRing{buf: make([]HistoryEntry, capacity)}
+	buf      []HistoryEntry
+	capacity int
+	start    int
+	n        int
 }
 
 // historyEntryOverhead approximates the fixed in-memory cost of one
@@ -46,8 +43,16 @@ func entrySize(e HistoryEntry) int64 {
 // append records e and returns the ring's byte-footprint delta
 // (negative contributions come from the entry an insert evicts).
 func (r *historyRing) append(e HistoryEntry) int64 {
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = e
+	if r.n < r.capacity {
+		// Not yet full, so the ring has never wrapped: start is 0 and
+		// the entries sit in buf[:n]. Grow by doubling, capped at the
+		// capacity.
+		if r.n == len(r.buf) {
+			grown := make([]HistoryEntry, min(max(2*len(r.buf), 4), r.capacity))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf[r.n] = e
 		r.n++
 		return entrySize(e)
 	}
@@ -103,7 +108,7 @@ type shardedHistory struct {
 
 type historyShard struct {
 	mu   sync.Mutex
-	ring *historyRing
+	ring historyRing
 	// pad keeps neighbouring shards off one cache line so round-robin
 	// writers do not false-share.
 	_ [40]byte
@@ -119,7 +124,7 @@ func newShardedHistory(capacity int) *shardedHistory {
 	}
 	h := &shardedHistory{mask: uint64(n - 1), shards: make([]historyShard, n), bytes: new(obs.Gauge)}
 	for i := range h.shards {
-		h.shards[i].ring = newHistoryRing(capacity / n)
+		h.shards[i].ring = historyRing{capacity: capacity / n}
 	}
 	return h
 }
@@ -166,23 +171,57 @@ func (e *Engine) GlobalHistory() []HistoryEntry {
 	return e.hist.entries()
 }
 
+// touchedKey keys, on a top-level transaction, the managers whose
+// local histories took an occurrence for it.
+type touchedKey struct{}
+
+// touchedManagers is the consolidation index of one top-level
+// transaction: record adds a manager the first time it logs an
+// occurrence for the transaction, so consolidation visits exactly the
+// histories that can hold its entries.
+type touchedManagers struct {
+	mu sync.Mutex
+	ms []*Manager
+}
+
+func (tm *touchedManagers) add(m *Manager) {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	for _, x := range tm.ms {
+		if x == m {
+			return
+		}
+	}
+	tm.ms = append(tm.ms, m)
+}
+
+// noteTouched indexes m as holding an occurrence of top.
+func noteTouched(top *txn.Txn, m *Manager) {
+	tm := top.ValueOrInit(touchedKey{}, func() any { return new(touchedManagers) }).(*touchedManagers)
+	tm.add(m)
+}
+
 // consolidateHistory moves a finished transaction's occurrences from
 // the managers' local histories into the global history, in occurrence
 // order. In distributed mode this runs after the transaction ends —
-// off the detection fast path.
-func (e *Engine) consolidateHistory(txnID uint64) {
+// off the detection fast path. Only the managers the transaction's
+// index names are visited, so the cost follows what the transaction
+// touched, not how many managers the loaded rules created.
+func (e *Engine) consolidateHistory(top *txn.Txn) {
 	if e.opts.History == CentralHistory {
 		return // already centralized at detection time
 	}
-	e.mu.RLock()
-	managers := make([]*Manager, 0, len(e.managers))
-	for _, m := range e.managers {
-		managers = append(managers, m)
+	tm, ok := top.Value(touchedKey{}).(*touchedManagers)
+	if !ok {
+		return
 	}
-	e.mu.RUnlock()
+	tm.mu.Lock()
+	managers := tm.ms
+	tm.mu.Unlock()
+	e.met.consolidated.Add(uint64(len(managers)))
 	var entries []HistoryEntry
 	for _, m := range managers {
-		entries = append(entries, m.local.forTxn(txnID)...)
+		entries = append(entries, m.local.forTxn(top.ID())...)
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Seq < entries[j].Seq })
 	for _, en := range entries {

@@ -1,7 +1,6 @@
 package eca
 
 import (
-	"repro/internal/algebra"
 	"repro/internal/event"
 	"repro/internal/txn"
 )
@@ -51,7 +50,7 @@ func (l *txnListener) AfterCommit(t *txn.Txn) {
 	}
 	e.resolveTxn(t, txn.Committed)
 	e.emitTxnEvent(event.Commit, t)
-	e.consolidateHistory(t.ID())
+	e.consolidateHistory(t)
 }
 
 // AfterAbort discards the transaction's semi-composed events (their
@@ -66,7 +65,7 @@ func (l *txnListener) AfterAbort(t *txn.Txn) {
 	e.dropDeferred(t)
 	e.resolveTxn(t, txn.Aborted)
 	e.emitTxnEvent(event.Abort, t)
-	e.consolidateHistory(t.ID())
+	e.consolidateHistory(t)
 }
 
 // emitTxnEvent raises a flow-control event for t. Rule transactions
@@ -90,7 +89,7 @@ func (e *Engine) emitTxnEvent(phase event.TxnPhase, t *txn.Txn) error {
 	if phase == event.BOT || phase == event.EOT {
 		in.Origin = t // still active: immediate/deferred rules may couple
 	}
-	return e.Consume(in)
+	return e.consume(in, t)
 }
 
 // endTxnComposition ends the life-span of every per-transaction
@@ -99,17 +98,14 @@ func (e *Engine) emitTxnEvent(phase event.TxnPhase, t *txn.Txn) error {
 // transaction-scoped composites participate — global composites have
 // no per-transaction composer, and making EOT wait on their
 // asynchronous queues would reintroduce exactly the stall the
-// asynchronous design avoids.
+// asynchronous design avoids. Constituents flush before the composites
+// built on them (refreshTxnCompositesLocked).
 func (e *Engine) endTxnComposition(id uint64, discard bool) {
-	e.mu.RLock()
-	cms := make([]*compositeMgr, 0, len(e.composites))
-	for _, cm := range e.composites {
-		if cm.decl.Scope == algebra.ScopeTransaction {
-			cms = append(cms, cm)
-		}
+	cms := e.txnComps.Load()
+	if cms == nil {
+		return
 	}
-	e.mu.RUnlock()
-	for _, cm := range cms {
+	for _, cm := range *cms {
 		cm.flushTxn(id, discard)
 	}
 }

@@ -377,13 +377,22 @@ func (db *DB) SetRoot(t *txn.Txn, name string, obj *Object) error {
 // Root fetches the object registered under name — the OpenOODB->fetch
 // of the paper's condition-function example (§6.1).
 func (db *DB) Root(t *txn.Txn, name string) (*Object, error) {
+	return db.root(t, name, txn.LockShared)
+}
+
+// RootForUpdate is Root under an exclusive lock; see LoadForUpdate.
+func (db *DB) RootForUpdate(t *txn.Txn, name string) (*Object, error) {
+	return db.root(t, name, txn.LockExclusive)
+}
+
+func (db *DB) root(t *txn.Txn, name string, mode txn.LockMode) (*Object, error) {
 	db.mu.Lock()
 	oid, ok := db.roots[name]
 	db.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchRoot, name)
 	}
-	return db.Load(t, oid)
+	return db.load(t, oid, mode)
 }
 
 // RootNames lists the registered root names.
@@ -401,7 +410,19 @@ func (db *DB) RootNames() []string {
 // persistent address space if necessary (the sentried "object
 // dereference" of §5).
 func (db *DB) Load(t *txn.Txn, oid OID) (*Object, error) {
-	if err := t.Lock(uint64(oid), txn.LockShared); err != nil {
+	return db.load(t, oid, txn.LockShared)
+}
+
+// LoadForUpdate is Load under an exclusive lock, for a caller that is
+// going to write the object. Taking X up front replaces the S→X
+// upgrade two concurrent read-modify-writers of one object deadlock
+// on: the second simply waits for the first to finish.
+func (db *DB) LoadForUpdate(t *txn.Txn, oid OID) (*Object, error) {
+	return db.load(t, oid, txn.LockExclusive)
+}
+
+func (db *DB) load(t *txn.Txn, oid OID, mode txn.LockMode) (*Object, error) {
+	if err := t.Lock(uint64(oid), mode); err != nil {
 		return nil, err
 	}
 	db.mu.Lock()
@@ -506,13 +527,9 @@ type writeSet struct {
 // writeSet returns (creating if needed) the write set of t's top-level
 // transaction.
 func (db *DB) writeSet(t *txn.Txn) *writeSet {
-	top := t.Top()
-	if ws, ok := top.Value(writeSetKey{}).(*writeSet); ok {
-		return ws
-	}
-	ws := &writeSet{dirty: make(map[OID]*Object), deleted: make(map[OID]*Object)}
-	top.SetValue(writeSetKey{}, ws)
-	return ws
+	return t.Top().ValueOrInit(writeSetKey{}, func() any {
+		return &writeSet{dirty: make(map[OID]*Object), deleted: make(map[OID]*Object)}
+	}).(*writeSet)
 }
 
 func (db *DB) markDirty(t *txn.Txn, obj *Object) {

@@ -2,11 +2,13 @@ package rules
 
 import (
 	"fmt"
+	"sync/atomic" //lint:allow rawatomics per-rule update-intent flags, not metrics
 
 	"repro/internal/algebra"
 	"repro/internal/eca"
 	"repro/internal/event"
 	"repro/internal/oodb"
+	"repro/internal/txn"
 )
 
 // Loaded is the result of loading a rule set into an engine.
@@ -124,12 +126,13 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 			r.Breaker = -1
 		}
 	}
+	updates := newWriteSet(d.Actions)
 	if d.Cond != nil {
 		cond := d.Cond
 		decl := d
 		bindings := c.bindings
 		r.Cond = func(rc *eca.RuleCtx) (bool, error) {
-			ev, err := bindEnv(rc, decl, bindings)
+			ev, err := bindEnv(rc, decl, bindings, updates)
 			if err != nil {
 				return false, err
 			}
@@ -148,7 +151,7 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 	decl := d
 	bindings := c.bindings
 	r.Action = func(rc *eca.RuleCtx) error {
-		ev, err := bindEnv(rc, decl, bindings)
+		ev, err := bindEnv(rc, decl, bindings, updates)
 		if err != nil {
 			return err
 		}
@@ -157,6 +160,7 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 				return err
 			}
 		}
+		updates.learn(rc.Txn, ev.vars)
 		return nil
 	}
 	return r, comps, c.temporal, nil
@@ -284,15 +288,93 @@ func (c *compiler) compileAll(subs []EventExpr) ([]algebra.Expr, error) {
 	return out, nil
 }
 
+// writeSet is a rule's update intent: the variables its action may
+// write, each flagged when firings bind it under X. A set statement's
+// target is written whenever the statement runs, so it is bound X
+// from the first firing. A method call's receiver — anywhere in the
+// action, arguments included — is written only if the method body
+// writes it, which the compiler cannot see: it is bound X once a
+// firing has been seen to hold X on it after its action, and a
+// read-only method's receiver stays shared.
+type writeSet map[string]*atomic.Bool
+
+func newWriteSet(actions []Stmt) writeSet {
+	w := make(writeSet)
+	add := func(name string, written bool) {
+		if w[name] == nil {
+			w[name] = new(atomic.Bool)
+		}
+		if written {
+			w[name].Store(true)
+		}
+	}
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case CallExpr:
+			add(x.Recv, false)
+			for _, a := range x.Args {
+				walk(a)
+			}
+		case BinOp:
+			walk(x.L)
+			walk(x.R)
+		case UnOp:
+			walk(x.X)
+		}
+	}
+	for _, s := range actions {
+		switch x := s.(type) {
+		case CallStmt:
+			walk(x.Call)
+		case SetStmt:
+			add(x.Target.Var, true)
+			walk(x.Value)
+		}
+	}
+	return w
+}
+
+// forUpdate reports whether firings bind the variable under X.
+func (w writeSet) forUpdate(name string) bool {
+	x := w[name]
+	return x != nil && x.Load()
+}
+
+// learn flags the receivers the action just wrote: those on which the
+// rule transaction now holds X.
+func (w writeSet) learn(t *txn.Txn, vars map[string]any) {
+	var held map[uint64]txn.LockMode
+	for name, x := range w {
+		obj, ok := vars[name].(*oodb.Object)
+		if !ok || x.Load() {
+			continue
+		}
+		if held == nil {
+			held = t.Held()
+		}
+		if held[uint64(obj.OID())] == txn.LockExclusive {
+			x.Store(true)
+		}
+	}
+}
+
 // bindEnv builds the evaluation environment for one firing: named
 // roots are fetched, the event's receiver and parameters are bound
 // from the trigger instance (matching composite constituents by spec
-// key, in order).
-func bindEnv(rc *eca.RuleCtx, d *RuleDecl, bindings []binding) (*env, error) {
+// key, in order). Objects the rule's write set flags are bound under
+// an exclusive lock from the start, condition included: a firing that
+// read them under S and wrote them later would need an S→X upgrade,
+// which deadlocks against any concurrent firing of the same shape.
+func bindEnv(rc *eca.RuleCtx, d *RuleDecl, bindings []binding, updates writeSet) (*env, error) {
 	ev := &env{ctx: rc.Ctx(), vars: make(map[string]any, len(d.Decls))}
 	for _, v := range d.Decls {
 		if v.Named != "" {
-			obj, err := ev.ctx.Root(v.Named)
+			root := rc.DB.Root
+			if updates.forUpdate(v.Name) {
+				root = rc.DB.RootForUpdate
+			}
+			obj, err := root(rc.Txn, v.Named)
 			if err != nil {
 				return nil, fmt.Errorf("rules: rule %s: %w", d.Name, err)
 			}
@@ -314,7 +396,11 @@ func bindEnv(rc *eca.RuleCtx, d *RuleDecl, bindings []binding) (*env, error) {
 			continue // constituent absent (e.g. disjunction branch)
 		}
 		if b.recv != "" && part.OID != 0 {
-			obj, err := ev.ctx.Load(oodb.OID(part.OID))
+			load := rc.DB.Load
+			if updates.forUpdate(b.recv) {
+				load = rc.DB.LoadForUpdate
+			}
+			obj, err := load(rc.Txn, oodb.OID(part.OID))
 			if err != nil {
 				return nil, fmt.Errorf("rules: rule %s: bind %s: %w", d.Name, b.recv, err)
 			}

@@ -159,6 +159,7 @@ func (lt *lockTable) acquire(t *Txn, res uint64, mode LockMode) error {
 	if ls.compatible(t, mode) &&
 		(len(ls.queue) == 0 || ls.holders[t] != 0 || ls.heldByAncestor(t)) {
 		lt.grantLocked(ls, t, res, mode)
+		lt.overtakeLocked(ls, t)
 		st.mu.Unlock()
 		return nil
 	}
@@ -166,6 +167,8 @@ func (lt *lockTable) acquire(t *Txn, res uint64, mode LockMode) error {
 	// for a cycle, all before the stripe is released so the blockers
 	// cannot dissolve between the decision to wait and the edges
 	// becoming visible to other requesters' cycle checks.
+	// Like compatible, the graph never counts an ancestor of t as a
+	// blocker — neither a holder nor a queued request.
 	blockers := make(map[*Txn]bool)
 	for h := range ls.holders {
 		if h != t && !h.isAncestorOf(t) {
@@ -173,7 +176,7 @@ func (lt *lockTable) acquire(t *Txn, res uint64, mode LockMode) error {
 		}
 	}
 	for _, w := range ls.queue {
-		if w.t != t {
+		if w.t != t && !w.t.isAncestorOf(t) {
 			blockers[w.t] = true
 		}
 	}
@@ -223,6 +226,23 @@ func (lt *lockTable) grantLocked(ls *lockState, t *Txn, res uint64, mode LockMod
 	lt.clearWait(t, res)
 }
 
+// overtakeLocked records that the requests queued on ls now wait on
+// t too: a grant that skipped the queue made t a holder the waiters
+// did not see when they recorded their edges. The caller holds the
+// stripe owning ls.
+func (lt *lockTable) overtakeLocked(ls *lockState, t *Txn) {
+	if len(ls.queue) == 0 {
+		return
+	}
+	lt.wfMu.Lock()
+	for _, w := range ls.queue {
+		if bs := lt.waitsFor[w.t]; bs != nil && !t.isAncestorOf(w.t) {
+			bs[t] = true
+		}
+	}
+	lt.wfMu.Unlock()
+}
+
 // clearWait removes t's waits-for edges and queued-on entry for res.
 func (lt *lockTable) clearWait(t *Txn, res uint64) {
 	lt.wfMu.Lock()
@@ -236,32 +256,67 @@ func (lt *lockTable) clearWait(t *Txn, res uint64) {
 	lt.wfMu.Unlock()
 }
 
-// cycleFromLocked reports whether the waits-for graph reaches back to
-// start from start's blockers. The caller holds wfMu.
+// cycleFromLocked reports whether start's new wait closes a cycle in
+// the waits-for graph. The caller holds wfMu. The recorded edges say
+// which holders and queued requests each blocked transaction waits
+// on; two derivation rules complete the graph with the waits nested
+// transactions make outside the lock table:
+//
+//   - A transaction waits on whatever its waiting descendants wait on.
+//     A parent that runs a rule subtransaction inline is blocked in
+//     code, and it cannot finish — and so release its locks — before
+//     every descendant has. The search therefore expands each node
+//     with its waiting descendants' edges, and a path from start that
+//     reaches an ancestor of start is a cycle too.
+//   - An edge to a subtransaction is an edge to its ancestors too. A
+//     committing subtransaction's locks pass to its parent (inherit)
+//     and are released only when its top-level ancestor ends, so the
+//     waiter waits on every ancestor of the holder — up to the first
+//     one it shares, which it never waits on.
+//
+// No edge may point to the waiter's own ancestor: compatible never
+// treats an ancestor as a blocker, and the graph agrees with it.
 func (lt *lockTable) cycleFromLocked(start *Txn) bool {
+	// waitingBelow maps each transaction to its waiting descendants.
+	waitingBelow := make(map[*Txn][]*Txn)
+	for w := range lt.waitsFor {
+		for p := w.parent; p != nil; p = p.parent {
+			waitingBelow[p] = append(waitingBelow[p], w)
+		}
+	}
 	seen := make(map[*Txn]bool)
-	var dfs func(t *Txn) bool
-	dfs = func(t *Txn) bool {
-		if t == start {
+	var reaches func(t *Txn) bool
+	// follow walks the edges waiter w recorded, each extended to the
+	// holder's ancestors that are not w's.
+	follow := func(w *Txn) bool {
+		for b := range lt.waitsFor[w] {
+			for ; b != nil && b != w && !b.isAncestorOf(w); b = b.parent {
+				if reaches(b) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	reaches = func(t *Txn) bool {
+		if t == start || t.isAncestorOf(start) {
 			return true
 		}
 		if seen[t] {
 			return false
 		}
 		seen[t] = true
-		for next := range lt.waitsFor[t] {
-			if dfs(next) {
+		if follow(t) {
+			return true
+		}
+		for _, d := range waitingBelow[t] {
+			if follow(d) {
 				return true
 			}
 		}
 		return false
 	}
-	for b := range lt.waitsFor[start] {
-		if dfs(b) {
-			return true
-		}
-	}
-	return false
+	return follow(start)
 }
 
 // releaseAll drops every lock held by t, fails t's queued requests,
@@ -323,7 +378,8 @@ func (lt *lockTable) releaseAll(t *Txn) {
 }
 
 // inherit transfers all locks held by child to parent (Moss rule on
-// subtransaction commit).
+// subtransaction commit). Waiters' edges to child need no rewrite:
+// cycleFromLocked already extends them to child's ancestors.
 func (lt *lockTable) inherit(child, parent *Txn) {
 	child.heldMu.Lock()
 	held := child.held

@@ -408,6 +408,25 @@ func (t *Txn) Value(key any) any {
 	return t.vals[key]
 }
 
+// ValueOrInit returns the value attached under key, first attaching
+// mk() when there is none. The check and the attach are one step, so
+// concurrent subtransactions sharing a top-level ancestor agree on one
+// value. mk runs under the transaction's mutex and must not call back
+// into the transaction.
+func (t *Txn) ValueOrInit(key any, mk func() any) any {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if v, ok := t.vals[key]; ok {
+		return v
+	}
+	if t.vals == nil {
+		t.vals = make(map[any]any)
+	}
+	v := mk()
+	t.vals[key] = v
+	return v
+}
+
 // SetTrace associates an event-trace ID with this transaction; the
 // manager then attributes lock waits and durable-commit latency to
 // that trace as spans. The rule engine tags rule transactions with the
