@@ -24,10 +24,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the REACH-specific analyzers (reachvet) over the module
-# and the semantic rule-language pass (rulec -vet) over every shipped
-# rule file. Both exit nonzero on findings.
+# lint fails on any Go file gofmt would rewrite (build and bench
+# output under dot-directories aside), then runs the REACH-specific
+# analyzers (reachvet) over the module and the semantic rule-language
+# pass (rulec -vet) over every shipped rule file. All three exit
+# nonzero on findings.
 lint:
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/reachvet
 	$(GO) run ./cmd/rulec -vet examples/*/rules/*.rules
 
@@ -68,17 +72,20 @@ crash:
 # target stays CI-sized. The lock leg checks the nested waits-for
 # rules, the intent leg concurrent read-modify-write rule firings, and
 # the temporal leg loops the detached-retry wedge's old reproducers.
+# The intent leg also covers lazy binding (a false condition locks
+# nothing it never read) and update intent for object event
+# parameters; the eca leg the bounded WaitDetachedContext.
 # The storage leg asserts the WAL-growth bound: segment chains stay
 # short under sustained traffic with checkpoints.
 stress:
 	$(GO) test -race -short -timeout 120s -count=1 \
-		-run 'TestExecutorStress|TestDrainWaitDetachedRace|TestDetachedRuleFaultInjection|TestDetachedDeadlockRetry|TestRetryBackoffIgnoresVirtualClock' \
+		-run 'TestExecutorStress|TestDrainWaitDetachedRace|TestDetachedRuleFaultInjection|TestDetachedDeadlockRetry|TestRetryBackoffIgnoresVirtualClock|TestWaitDetachedContextNamesStuckRule' \
 		./internal/eca
 	$(GO) test -race -timeout 120s -count=1 \
 		-run 'TestNestedCrossDeadlockDetected|TestNestedUpgradeDeadlockDetected|TestCycleThroughHoldersParent|TestSiblingWaitsNoFalseDeadlock|TestOvertakingGrantJoinsGraph|TestParallelSiblingsNoFalseDeadlock' \
 		./internal/txn
 	$(GO) test -race -timeout 120s -count=1 \
-		-run 'TestImmediateReadModifyWriteNoVictims|TestDetachedReadModifyWriteNoRetries' \
+		-run 'TestImmediateReadModifyWriteNoVictims|TestDetachedReadModifyWriteNoRetries|TestObjectParamBoundForUpdate|TestFalseConditionLeavesRootUnlocked|TestFalseConditionsDoNotBlock|TestMissingRootInActionOnly|TestFalseConditionAllocs' \
 		./internal/rules
 	$(GO) test -race -timeout 120s -count=20 \
 		-run 'TestTemporalRuleViaPublicAPI|TestTemporalRuleThroughDSL' \

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -128,7 +129,7 @@ type executor struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	inflight  int // accepted jobs not yet finished (queued or running)
+	inflight  map[string]int // accepted jobs not yet finished (queued or running), per rule
 	draining  bool
 	jitterSeq uint64
 	breakers  map[string]*breaker
@@ -141,6 +142,7 @@ func newExecutor(e *Engine) *executor {
 		queue:    make(chan ruleJob, e.opts.Queue),
 		drainCh:  make(chan struct{}),
 		wall:     clock.NewReal(),
+		inflight: make(map[string]int),
 		breakers: make(map[string]*breaker),
 	}
 	x.cond = sync.NewCond(&x.mu)
@@ -161,14 +163,14 @@ func (x *executor) submit(job ruleJob) error {
 		x.mu.Unlock()
 		return ErrDraining
 	}
-	x.inflight++
+	x.inflight[job.rule.Name]++
 	x.mu.Unlock()
 	x.e.met.execInflight.Add(1)
 	if x.e.opts.Overload == OverloadShed {
 		select {
 		case x.queue <- job:
 		default:
-			x.jobDone()
+			x.jobDone(job.rule.Name)
 			return ErrOverload
 		}
 	} else {
@@ -187,7 +189,7 @@ func (x *executor) submit(job ruleJob) error {
 			if g := x.e.gov; g != nil {
 				stateCh = g.StateChanged()
 				if g.ShouldShed(governor.ClassDetached) {
-					x.jobDone()
+					x.jobDone(job.rule.Name)
 					return governor.ErrOverloaded
 				}
 			}
@@ -195,7 +197,7 @@ func (x *executor) submit(job ruleJob) error {
 			case x.queue <- job:
 				break enqueue
 			case <-x.drainCh:
-				x.jobDone()
+				x.jobDone(job.rule.Name)
 				return ErrDraining
 			case <-stateCh:
 			}
@@ -208,9 +210,11 @@ func (x *executor) submit(job ruleJob) error {
 }
 
 // jobDone releases an in-flight reservation and wakes waiters.
-func (x *executor) jobDone() {
+func (x *executor) jobDone(rule string) {
 	x.mu.Lock()
-	x.inflight--
+	if x.inflight[rule]--; x.inflight[rule] == 0 {
+		delete(x.inflight, rule)
+	}
 	x.mu.Unlock()
 	x.e.met.execInflight.Add(-1)
 	x.cond.Broadcast()
@@ -221,7 +225,7 @@ func (x *executor) worker() {
 	for job := range x.queue {
 		x.e.met.execQueue.Set(int64(len(x.queue)))
 		x.runJob(job)
-		x.jobDone()
+		x.jobDone(job.rule.Name)
 	}
 }
 
@@ -237,7 +241,8 @@ func (x *executor) drain() {
 }
 
 // awaitIdle blocks until every accepted job has finished or ctx
-// expires.
+// expires. The expiry error wraps ctx.Err() and names the rules whose
+// firings are still in flight.
 func (x *executor) awaitIdle(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, func() {
 		// Taking the mutex serializes with a waiter between its
@@ -249,9 +254,14 @@ func (x *executor) awaitIdle(ctx context.Context) error {
 	defer stop()
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	for x.inflight > 0 {
+	for len(x.inflight) > 0 {
 		if err := ctx.Err(); err != nil {
-			return err
+			names := make([]string, 0, len(x.inflight))
+			for rule, n := range x.inflight {
+				names = append(names, fmt.Sprintf("%s (%d)", rule, n))
+			}
+			sort.Strings(names)
+			return fmt.Errorf("eca: detached firings in flight: %s: %w", strings.Join(names, ", "), err)
 		}
 		x.cond.Wait() //lint:allow lockdiscipline sync.Cond.Wait atomically releases the mutex while parked
 	}
@@ -667,12 +677,14 @@ func (e *Engine) breakerThreshold(r *Rule) int {
 // WaitDetached blocks until every accepted detached rule execution
 // has finished. Tests and the bench harness use it as a barrier.
 func (e *Engine) WaitDetached() {
-	x := e.exec
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	for x.inflight > 0 {
-		x.cond.Wait() //lint:allow lockdiscipline sync.Cond.Wait atomically releases the mutex while parked
-	}
+	_ = e.exec.awaitIdle(context.Background()) // never expires
+}
+
+// WaitDetachedContext is WaitDetached bounded by ctx: on expiry it
+// returns an error that wraps ctx.Err() and names the rules whose
+// firings are still in flight.
+func (e *Engine) WaitDetachedContext(ctx context.Context) error {
+	return e.exec.awaitIdle(ctx)
 }
 
 // Drain flips the engine into shutdown mode: new detached spawns are

@@ -619,6 +619,45 @@ func TestDrainDeadlineExpires(t *testing.T) {
 	}
 }
 
+// TestWaitDetachedContextNamesStuckRule: a detached firing is parked
+// on a lock an open transaction holds, so WaitDetachedContext expires
+// and names the rule; once the holder commits, the wait returns.
+func TestWaitDetachedContextNamesStuckRule(t *testing.T) {
+	e, db := newExecEngine(t, Options{}, clock.NewReal())
+	held := newSensor(t, db)
+	trigger := newSensor(t, db)
+	if err := e.AddRule(&Rule{
+		Name: "parked", EventKey: pingKey(), ActionMode: Detached,
+		Action: func(rc *RuleCtx) error {
+			return rc.Ctx().Set(held, "alarms", int64(1))
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	holder := db.Begin()
+	if err := db.Set(holder, held, "alarms", int64(9)); err != nil {
+		t.Fatal(err)
+	}
+
+	fireOnce(t, db, trigger)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	err := e.WaitDetachedContext(ctx)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitDetachedContext = %v, want context.DeadlineExceeded", err)
+	}
+	if !strings.Contains(err.Error(), "parked") {
+		t.Fatalf("error %q does not name the parked rule", err)
+	}
+
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WaitDetachedContext(context.Background()); err != nil {
+		t.Fatalf("second wait: %v", err)
+	}
+}
+
 // TestDetachedRuleFaultInjection exercises the executor against the
 // storage fault substrate: a WAL-append failpoint makes the rule
 // transaction's commit fail with an injected (non-retriable) error,

@@ -43,7 +43,8 @@ func (d *RuleDecl) ClassOf() map[string]string {
 
 // VarDecl binds a name in the rule's scope. Object declarations carry
 // a class and optionally a root name ("named"); scalar declarations
-// (int, float, string, bool) bind event parameters positionally.
+// (int, float, string, bool) and object declarations without a root
+// name bind event parameters positionally.
 type VarDecl struct {
 	Class string // class name, or int/float/string/bool
 	Ptr   bool
@@ -51,7 +52,8 @@ type VarDecl struct {
 	Named string // root name to fetch, "" if bound from the event
 }
 
-// IsScalar reports whether the declaration binds an event parameter.
+// IsScalar reports whether the declaration is of a scalar type
+// rather than an object class.
 func (d VarDecl) IsScalar() bool {
 	switch d.Class {
 	case "int", "float", "string", "bool":
@@ -68,7 +70,7 @@ type MethodEvent struct {
 	After  bool
 	Recv   string // declared object variable; its class scopes the event
 	Method string
-	Params []string // declared scalar variables bound to the arguments
+	Params []string // declared variables bound to the arguments
 }
 
 // StateEvent matches attribute updates: update of Class.attr.

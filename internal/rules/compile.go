@@ -68,15 +68,15 @@ func Load(e *eca.Engine, src string) (*Loaded, error) {
 // the composite declarations it needs, and the temporal specs to arm.
 // The rule is not registered; Load does that.
 func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []event.TemporalSpec, error) {
-	classOf := make(map[string]string, len(d.Decls))
-	for _, v := range d.Decls {
-		if _, dup := classOf[v.Name]; dup {
+	index := make(map[string]int, len(d.Decls))
+	for i, v := range d.Decls {
+		if _, dup := index[v.Name]; dup {
 			return nil, nil, nil, fmt.Errorf("rules: rule %s: variable %q declared twice", d.Name, v.Name)
 		}
-		classOf[v.Name] = v.Class
+		index[v.Name] = i
 	}
 
-	c := &compiler{decl: d, classOf: classOf}
+	c := &compiler{decl: d, index: index}
 	expr, err := c.compileEvent(d.Event)
 	if err != nil {
 		return nil, nil, nil, err
@@ -132,11 +132,7 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 		decl := d
 		bindings := c.bindings
 		r.Cond = func(rc *eca.RuleCtx) (bool, error) {
-			ev, err := bindEnv(rc, decl, bindings, updates)
-			if err != nil {
-				return false, err
-			}
-			v, err := ev.eval(cond)
+			v, err := bindEnv(rc, decl, bindings, updates).eval(cond)
 			if err != nil {
 				return false, err
 			}
@@ -151,10 +147,7 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 	decl := d
 	bindings := c.bindings
 	r.Action = func(rc *eca.RuleCtx) error {
-		ev, err := bindEnv(rc, decl, bindings, updates)
-		if err != nil {
-			return err
-		}
+		ev := bindEnv(rc, decl, bindings, updates)
 		for _, s := range actions {
 			if err := ev.exec(s); err != nil {
 				return err
@@ -166,16 +159,17 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 	return r, comps, c.temporal, nil
 }
 
-// binding maps a primitive spec key to the variables it populates.
+// binding maps a primitive spec key to the variables it populates,
+// each given by its position in the rule's declarations.
 type binding struct {
 	key    string
-	recv   string   // object variable bound to the event's receiver
-	params []string // scalar variables bound positionally to arguments
+	recv   int   // object variable bound to the event's receiver
+	params []int // variables bound positionally to the arguments
 }
 
 type compiler struct {
 	decl      *RuleDecl
-	classOf   map[string]string
+	index     map[string]int // variable name → declaration position
 	bindings  []binding
 	temporal  []event.TemporalSpec
 	composite bool
@@ -186,7 +180,7 @@ type compiler struct {
 func (c *compiler) compileEvent(ev EventExpr) (algebra.Expr, error) {
 	switch x := ev.(type) {
 	case MethodEvent:
-		class, ok := c.classOf[x.Recv]
+		recv, ok := c.index[x.Recv]
 		if !ok {
 			return nil, fmt.Errorf("rules: rule %s: receiver %q not declared", c.decl.Name, x.Recv)
 		}
@@ -194,13 +188,14 @@ func (c *compiler) compileEvent(ev EventExpr) (algebra.Expr, error) {
 		if x.After {
 			when = event.After
 		}
-		key := event.MethodSpec{Class: class, Method: x.Method, When: when}.Key()
-		for _, p := range x.Params {
-			if _, ok := c.classOf[p]; !ok {
+		key := event.MethodSpec{Class: c.decl.Decls[recv].Class, Method: x.Method, When: when}.Key()
+		params := make([]int, len(x.Params))
+		for i, p := range x.Params {
+			if params[i], ok = c.index[p]; !ok {
 				return nil, fmt.Errorf("rules: rule %s: event parameter %q not declared", c.decl.Name, p)
 			}
 		}
-		c.bindings = append(c.bindings, binding{key: key, recv: x.Recv, params: x.Params})
+		c.bindings = append(c.bindings, binding{key: key, recv: recv, params: params})
 		return algebra.Prim{Key: key}, nil
 	case StateEvent:
 		key := event.StateSpec{Class: x.Class, Attr: x.Attr}.Key()
@@ -342,12 +337,14 @@ func (w writeSet) forUpdate(name string) bool {
 }
 
 // learn flags the receivers the action just wrote: those on which the
-// rule transaction now holds X.
-func (w writeSet) learn(t *txn.Txn, vars map[string]any) {
+// rule transaction now holds X. Variables the action never referenced
+// are still unresolved, so only what it touched is examined.
+func (w writeSet) learn(t *txn.Txn, vars []slot) {
 	var held map[uint64]txn.LockMode
-	for name, x := range w {
-		obj, ok := vars[name].(*oodb.Object)
-		if !ok || x.Load() {
+	for _, s := range vars {
+		obj, ok := s.val.(*oodb.Object)
+		x := w[s.name]
+		if !ok || x == nil || x.Load() {
 			continue
 		}
 		if held == nil {
@@ -359,27 +356,19 @@ func (w writeSet) learn(t *txn.Txn, vars map[string]any) {
 	}
 }
 
-// bindEnv builds the evaluation environment for one firing: named
-// roots are fetched, the event's receiver and parameters are bound
-// from the trigger instance (matching composite constituents by spec
-// key, in order). Objects the rule's write set flags are bound under
-// an exclusive lock from the start, condition included: a firing that
-// read them under S and wrote them later would need an S→X upgrade,
-// which deadlocks against any concurrent firing of the same shape.
-func bindEnv(rc *eca.RuleCtx, d *RuleDecl, bindings []binding, updates writeSet) (*env, error) {
-	ev := &env{ctx: rc.Ctx(), vars: make(map[string]any, len(d.Decls))}
-	for _, v := range d.Decls {
-		if v.Named != "" {
-			root := rc.DB.Root
-			if updates.forUpdate(v.Name) {
-				root = rc.DB.RootForUpdate
-			}
-			obj, err := root(rc.Txn, v.Named)
-			if err != nil {
-				return nil, fmt.Errorf("rules: rule %s: %w", d.Name, err)
-			}
-			ev.vars[v.Name] = obj
-		}
+// bindEnv builds the evaluation environment for one firing, matching
+// composite constituents to bindings by spec key, in order. Scalar
+// event parameters are bound from the trigger instance at once. An
+// object variable — a named root, the event's receiver, or an
+// object-valued parameter — only records where its object comes from;
+// the condition or action loads it when it first dereferences it
+// (env.lookup). A firing therefore locks only what it reads, in the
+// order it reads it: a condition that turns out false before reaching
+// an object never locks it.
+func bindEnv(rc *eca.RuleCtx, d *RuleDecl, bindings []binding, updates writeSet) *env {
+	ev := &env{ctx: rc.Ctx(), rule: d.Name, updates: updates, vars: make([]slot, len(d.Decls))}
+	for i, v := range d.Decls {
+		ev.vars[i] = slot{name: v.Name, root: v.Named}
 	}
 	parts := rc.Trigger.Flatten()
 	used := make([]bool, len(parts))
@@ -395,24 +384,22 @@ func bindEnv(rc *eca.RuleCtx, d *RuleDecl, bindings []binding, updates writeSet)
 		if part == nil {
 			continue // constituent absent (e.g. disjunction branch)
 		}
-		if b.recv != "" && part.OID != 0 {
-			load := rc.DB.Load
-			if updates.forUpdate(b.recv) {
-				load = rc.DB.LoadForUpdate
-			}
-			obj, err := load(rc.Txn, oodb.OID(part.OID))
-			if err != nil {
-				return nil, fmt.Errorf("rules: rule %s: bind %s: %w", d.Name, b.recv, err)
-			}
-			ev.vars[b.recv] = obj
+		if part.OID != 0 {
+			ev.vars[b.recv].from(oodb.OID(part.OID))
 		}
 		for i, p := range b.params {
-			if i < len(part.Args) {
-				ev.vars[p] = part.Args[i]
+			if i >= len(part.Args) {
+				continue
+			}
+			s := &ev.vars[p]
+			if obj, ok := part.Args[i].(*oodb.Object); ok && !d.Decls[p].IsScalar() {
+				s.from(obj.OID())
+			} else {
+				s.val, s.bound = part.Args[i], true
 			}
 		}
 	}
-	return ev, nil
+	return ev
 }
 
 // Modes resolves the declaration's effective coupling modes, applying

@@ -6,18 +6,69 @@ import (
 	"repro/internal/oodb"
 )
 
-// env is the variable scope a rule's condition and action evaluate in.
+// env is the variable scope a rule's condition and action evaluate in:
+// one slot per declared variable.
 type env struct {
-	ctx  *oodb.Ctx
-	vars map[string]any
+	ctx     *oodb.Ctx
+	rule    string
+	updates writeSet
+	vars    []slot
 }
 
+// slot is one declared variable of a firing. Until its first use an
+// object variable holds only where its object comes from: a named root
+// or an OID the trigger carried.
+type slot struct {
+	name  string
+	val   any
+	bound bool     // val holds the variable's value
+	root  string   // named root to fetch on first use
+	oid   oodb.OID // object to load on first use
+}
+
+// from makes the slot's object the one with the given OID, loaded on
+// first use.
+func (s *slot) from(oid oodb.OID) {
+	*s = slot{name: s.name, oid: oid}
+}
+
+// lookup returns a variable's value. An object variable is resolved
+// on its first use and cached: under X if the rule's write set flags
+// it, under S otherwise. A write-set object is therefore X from its
+// first read in the firing, condition included: a firing that read it
+// under S and wrote it later would need an S→X upgrade, which
+// deadlocks against any concurrent firing of the same shape.
 func (ev *env) lookup(name string) (any, error) {
-	v, ok := ev.vars[name]
-	if !ok {
-		return nil, fmt.Errorf("rules: variable %q not bound", name)
+	for i := range ev.vars {
+		s := &ev.vars[i]
+		if s.name != name {
+			continue
+		}
+		if s.bound {
+			return s.val, nil
+		}
+		db, t, forUpdate := ev.ctx.DB, ev.ctx.Txn, ev.updates.forUpdate(name)
+		var obj *oodb.Object
+		var err error
+		switch {
+		case s.root != "" && forUpdate:
+			obj, err = db.RootForUpdate(t, s.root)
+		case s.root != "":
+			obj, err = db.Root(t, s.root)
+		case s.oid != 0 && forUpdate:
+			obj, err = db.LoadForUpdate(t, s.oid)
+		case s.oid != 0:
+			obj, err = db.Load(t, s.oid)
+		default:
+			return nil, fmt.Errorf("rules: variable %q not bound", name)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("rules: rule %s: bind %s: %w", ev.rule, name, err)
+		}
+		s.val, s.bound = obj, true
+		return obj, nil
 	}
-	return v, nil
+	return nil, fmt.Errorf("rules: variable %q not bound", name)
 }
 
 func (ev *env) object(name string) (*oodb.Object, error) {

@@ -79,9 +79,9 @@ rule R {
 
 // TestImmediateReadModifyWriteNoVictims: two clients fire an
 // immediate rule that reads and then writes the same named root. The
-// root is in the rule's write set, so each firing binds it under X
-// before the condition reads it; the second client waits instead of
-// deadlocking on an S→X upgrade.
+// root is in the rule's write set, so each firing loads it under X
+// when the condition first reads it; the second client waits instead
+// of deadlocking on an S→X upgrade.
 func TestImmediateReadModifyWriteNoVictims(t *testing.T) {
 	e, db, _ := newPlant(t)
 	tally := newTally(t, db)
@@ -142,11 +142,13 @@ rule Count {
 
 // TestDetachedReadModifyWriteNoRetries: eight detached firings of
 // `set c.total = c.total + x` run at once on the executor's workers.
-// Each binds the counter under X, so they serialize without a single
-// deadlock victim, and the total is exact. Each firing binds the
+// Each loads the counter under X, so they serialize without a single
+// deadlock victim, and the total is exact. The action reads the
 // counter and then the river, which the trigger holds X until it
-// commits; the trigger waits a moment first, so the firings bind the
-// counter together before any of them can write it.
+// commits; the trigger waits a moment first, so every firing reaches
+// the counter before any of them can write it. (The `0 * r.level`
+// term is that read of the river: variables bind on first use, and
+// without it no firing would wait for the trigger.)
 func TestDetachedReadModifyWriteNoRetries(t *testing.T) {
 	e, db, _ := newPlant(t)
 	tally := newTally(t, db)
@@ -154,7 +156,7 @@ func TestDetachedReadModifyWriteNoRetries(t *testing.T) {
 rule Accumulate {
     decl River *r, int x, Counter *c named "Tally";
     event after r->updateWaterLevel(x);
-    action detached set c.total = c.total + x;
+    action detached set c.total = c.total + x + 0 * r.level;
 };`); err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +168,59 @@ rule Accumulate {
 	var want int64
 	for x := int64(1); x <= 8; x++ {
 		if _, err := db.Invoke(tx, river, "updateWaterLevel", x); err != nil {
+			t.Fatal(err)
+		}
+		want += x
+	}
+	time.Sleep(50 * time.Millisecond) // let the workers pick the firings up
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.WaitDetached()
+	if got := e.Metrics().Counter("reach_rule_retries_total", "").Value(); got != 0 {
+		t.Fatalf("executor retried %d firings, want 0", got)
+	}
+	if dl := e.DeadLetters(); len(dl) != 0 {
+		t.Fatalf("dead letters: %+v", dl)
+	}
+	if got := tallyTotal(t, db, tally); got != want {
+		t.Fatalf("total = %d, want %d", got, want)
+	}
+}
+
+// TestObjectParamBoundForUpdate: the counter arrives as an event
+// argument, not as a named root. An object-valued parameter resolves
+// like a receiver, so the write set loads it under X and eight
+// concurrent detached firings of `set c.total = c.total + x` need no
+// retry. As above, each firing reads the counter and then the probe,
+// which the trigger holds X until it commits.
+func TestObjectParamBoundForUpdate(t *testing.T) {
+	e, db, _ := newPlant(t)
+	tally := newTally(t, db)
+	probe := oodb.NewClass("Probe", oodb.Attr{Name: "last", Type: oodb.TInt})
+	probe.Monitored = true
+	probe.Method("report", func(ctx *oodb.Ctx, self *oodb.Object, args []any) (any, error) {
+		return nil, ctx.Set(self, "last", args[1])
+	})
+	if err := db.Dictionary().Register(probe); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(e, `
+rule Aggregate {
+    decl Probe *p, Counter *c, int x;
+    event after p->report(c, x);
+    action detached set c.total = c.total + x + 0 * p.last;
+};`); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	p, err := db.NewObject(tx, "Probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for x := int64(1); x <= 8; x++ {
+		if _, err := db.Invoke(tx, p, "report", tally, x); err != nil {
 			t.Fatal(err)
 		}
 		want += x

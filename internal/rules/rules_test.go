@@ -500,7 +500,7 @@ func TestExpressionEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.expr, err)
 		}
-		ev := &env{vars: map[string]any{}}
+		ev := &env{}
 		got, err := ev.eval(decls[0].Cond)
 		if err != nil {
 			t.Fatalf("%s: %v", c.expr, err)
@@ -526,7 +526,7 @@ func TestExpressionErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s did not parse: %v", expr, err)
 		}
-		ev := &env{vars: map[string]any{}}
+		ev := &env{}
 		if _, err := ev.eval(decls[0].Cond); err == nil {
 			t.Errorf("%s evaluated without error", expr)
 		}
