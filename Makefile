@@ -74,12 +74,14 @@ crash:
 # the temporal leg loops the detached-retry wedge's old reproducers.
 # The intent leg also covers lazy binding (a false condition locks
 # nothing it never read) and update intent for object event
-# parameters; the eca leg the bounded WaitDetachedContext.
+# parameters; the eca leg the bounded WaitDetachedContext, the
+# governor freeing a raiser parked on a full queue, and a kept
+# trigger instance staying intact.
 # The storage leg asserts the WAL-growth bound: segment chains stay
 # short under sustained traffic with checkpoints.
 stress:
 	$(GO) test -race -short -timeout 120s -count=1 \
-		-run 'TestExecutorStress|TestDrainWaitDetachedRace|TestDetachedRuleFaultInjection|TestDetachedDeadlockRetry|TestRetryBackoffIgnoresVirtualClock|TestWaitDetachedContextNamesStuckRule' \
+		-run 'TestExecutorStress|TestDrainWaitDetachedRace|TestDetachedRuleFaultInjection|TestDetachedDeadlockRetry|TestRetryBackoffIgnoresVirtualClock|TestWaitDetachedContextNamesStuckRule|TestParkedRaiserCannotDeadlock|TestKeptTriggerStaysValid' \
 		./internal/eca
 	$(GO) test -race -timeout 120s -count=1 \
 		-run 'TestNestedCrossDeadlockDetected|TestNestedUpgradeDeadlockDetected|TestCycleThroughHoldersParent|TestSiblingWaitsNoFalseDeadlock|TestOvertakingGrantJoinsGraph|TestParallelSiblingsNoFalseDeadlock' \

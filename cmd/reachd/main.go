@@ -47,7 +47,6 @@ func main() {
 	admin := flag.String("admin", "", "observability HTTP listen address, e.g. localhost:7047 (empty = disabled)")
 	workers := flag.Int("workers", 0, "detached-rule executor worker pool size (0 = default 8)")
 	queue := flag.Int("queue", 0, "detached-rule executor queue capacity (0 = default 256)")
-	shed := flag.Bool("shed", false, "shed detached rule work when the executor queue is full instead of blocking")
 	ruleTimeout := flag.Duration("rule-timeout", 0, "default per-attempt deadline for detached rules (0 = none)")
 	ruleRetries := flag.Int("rule-retries", 0, "default retry budget for retriable rule aborts (0 = default 3, negative disables)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures before a rule's circuit breaker trips (0 = default 5, negative disables)")
@@ -67,13 +66,10 @@ func main() {
 		SlowLogThreshold: *slowThreshold,
 		SlowLogCapacity:  *slowCap,
 	}
-	if *shed {
-		engineOpts.Overload = reach.OverloadShed
-	}
 	opts := reach.Options{Dir: *dir, Engine: engineOpts}
 	opts.DB.Storage.DisableGroupCommit = *noGroupCommit
-	opts.Governor.Disabled = !*gov
-	opts.Governor.AdmitDeadline = *admitDeadline
+	opts.Engine.Governor.Disabled = !*gov
+	opts.Engine.Governor.AdmitDeadline = *admitDeadline
 	sys, err := reach.Open(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reachd:", err)

@@ -745,13 +745,12 @@ func RunE13(g, commits int) []Row {
 func RunE14(baseClients int, window time.Duration) []Row {
 	run := func(disabled bool, mult int) Row {
 		sys, err := core.Open(core.Options{
-			Governor: governor.Options{
+			Engine: eca.Options{Workers: 2, Queue: 16, Governor: governor.Options{
 				Disabled:      disabled,
 				Hysteresis:    50 * time.Millisecond,
 				AdmitDeadline: 10 * time.Millisecond,
 				Interval:      2 * time.Millisecond,
-			},
-			Engine: eca.Options{Workers: 2, Queue: 16},
+			}},
 		})
 		if err != nil {
 			panic(err)

@@ -34,10 +34,6 @@ type Options struct {
 	DB oodb.Options
 	// Engine tunes the rule engine.
 	Engine eca.Options
-	// Governor tunes the overload governor (watermark hysteresis,
-	// admission deadline, evaluation interval, or Disabled for the
-	// ablation arm). Clock and Metrics are wired by Open.
-	Governor governor.Options
 	// StrictRules gates LoadRules on the whole-ruleset interaction
 	// analysis: a source whose addition would leave the accumulated
 	// rule set with unsuppressed termination, confluence-error, or
@@ -58,9 +54,10 @@ type System struct {
 	// Build identifies the running binary (also exposed as the
 	// reach_build_info gauge).
 	Build obs.BuildInfo
-	// Governor is the system-wide overload governor: every subsystem's
-	// load gauges registered in one place, the health state machine
-	// derived from them, and the admission gate new writers pass.
+	// Governor is the engine's overload governor, the system-wide one:
+	// every subsystem's load gauges registered in one place, the health
+	// state machine derived from them, and the admission gate new
+	// writers pass. Tune it through Options.Engine.Governor.
 	Governor *governor.Governor
 
 	strictRules bool
@@ -109,7 +106,7 @@ func Open(opts Options) (*System, error) {
 	engineOpts := opts.Engine
 	engineOpts.Metrics = reg
 	engine := eca.New(db, engineOpts)
-	gov := newGovernor(opts, db, engine, reg)
+	registerResources(opts, db, engine.Governor())
 	return &System{
 		DB:          db,
 		Engine:      engine,
@@ -117,47 +114,16 @@ func Open(opts Options) (*System, error) {
 		Metrics:     reg,
 		Tracer:      engine.Tracer(),
 		Build:       build,
-		Governor:    gov,
+		Governor:    engine.Governor(),
 		strictRules: opts.StrictRules,
 	}, nil
 }
 
-// newGovernor assembles the overload governor: each subsystem's load
-// gauges registered with default watermarks, the enforcement hooks
-// installed at the choke points (writer admission, detached spawn,
-// deferred drain, trace minting), and the evaluation loop started.
-// Watermarks are retunable live via Governor.SetLevels.
-func newGovernor(opts Options, db *oodb.DB, engine *eca.Engine, reg *obs.Registry) *governor.Governor {
-	govOpts := opts.Governor
-	if govOpts.Clock == nil && opts.Clock != nil {
-		govOpts.Clock = opts.Clock
-	}
-	govOpts.Metrics = reg
-	gov := governor.New(govOpts)
-
-	queue := int64(opts.Engine.Queue)
-	if queue <= 0 {
-		queue = 256 // the engine's Queue default
-	}
+// registerResources adds the transaction and storage resources to
+// the engine's governor and routes writer admission through it.
+func registerResources(opts Options, db *oodb.DB, gov *governor.Governor) {
 	tm := db.TxnManager()
-	// Visibility-only resources (zero watermarks): accounted in
-	// /health but never driving the state. Dead-letter depth is
-	// deliberately among them — the governor's own sheds are
-	// dead-lettered, so watermarking the queue would create a
-	// shed → dead-letter → degraded feedback loop that blocks
-	// recovery to healthy after load drops.
 	gov.Register("txn-active", tm.ActiveTopLevel, governor.Levels{})
-	gov.Register("history-bytes", engine.HistoryBytes, governor.Levels{})
-	gov.Register("deadletter-depth", engine.DeadLetterDepth, governor.Levels{})
-	// The detached backlog degrades at one queue's worth of unfinished
-	// work (the pool is saturated: shedding detached firings is
-	// cheaper than queueing them into a convoy) and sheds at two.
-	gov.Register("detached-backlog", engine.DetachedBacklog,
-		governor.Levels{Degraded: queue, Shedding: 2 * queue})
-	// Deferred work is bounded per transaction by MaxDeferredRounds
-	// but not across transactions; watermark the aggregate.
-	gov.Register("deferred-depth", engine.DeferredDepth,
-		governor.Levels{Degraded: 4 * queue, Shedding: 16 * queue})
 	if opts.Dir != "" {
 		// Storage backpressure: a checkpointer falling behind the write
 		// rate shows up as WAL bytes past the byte trigger. Degrading
@@ -175,14 +141,7 @@ func newGovernor(opts Options, db *oodb.DB, engine *eca.Engine, reg *obs.Registr
 			return 0
 		}, governor.Levels{Degraded: 1})
 	}
-
 	tm.SetAdmission(gov.AdmitTxn)
-	engine.SetGovernor(gov)
-	engine.Dispatcher().SetShedProbe(func() bool {
-		return gov.State() >= governor.Degraded
-	})
-	gov.Start()
-	return gov
 }
 
 // Admin returns the HTTP observability surface over the system's
@@ -276,7 +235,7 @@ func (s *System) LoadRules(src string) (*rules.Loaded, error) {
 		}
 		return nil, fmt.Errorf("core: rule-set analysis rejects load:\n%s", strings.Join(msgs, "\n"))
 	}
-	loaded, err := rules.Load(s.Engine, src)
+	loaded, err := rules.Register(s.Engine, decls)
 	if err != nil {
 		return nil, err
 	}
@@ -337,6 +296,5 @@ func (s *System) ruleWorld() *analysis.World {
 func (s *System) Close() error {
 	s.Engine.WaitDetached()
 	s.Engine.Close()
-	s.Governor.Stop()
 	return s.DB.Close()
 }

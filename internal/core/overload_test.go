@@ -44,7 +44,8 @@ rule DetTick {
 // detached rule work (slowBy per call).
 func newOverloadSystem(t *testing.T, slowBy time.Duration, govOpts governor.Options, engineOpts eca.Options) *System {
 	t.Helper()
-	sys, err := Open(Options{Engine: engineOpts, Governor: govOpts})
+	engineOpts.Governor = govOpts
+	sys, err := Open(Options{Engine: engineOpts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,12 +47,11 @@ func TestOverloadSoak(t *testing.T) {
 	dir := t.TempDir()
 	sys, err := Open(Options{
 		Dir: dir,
-		Governor: governor.Options{
+		Engine: eca.Options{Workers: 2, Queue: 8, Governor: governor.Options{
 			Hysteresis:    100 * time.Millisecond,
 			AdmitDeadline: 5 * time.Millisecond,
 			Interval:      time.Millisecond,
-		},
-		Engine: eca.Options{Workers: 2, Queue: 8},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -171,10 +171,6 @@ func (e *Engine) propagate(m *Manager, in *event.Instance) {
 	if cs == nil || len(*cs) == 0 {
 		return
 	}
-	// Composers may hold the instance past this call (channel delivery,
-	// semi-composed state); pin it so a pooled instance is not recycled
-	// under them.
-	in.Retain()
 	for _, cm := range *cs {
 		cm.deliver(in)
 	}
@@ -456,6 +452,7 @@ func (e *Engine) Close() {
 	e.stopTemporals()
 	_ = e.Drain(context.Background())
 	e.exec.shutdown()
+	e.gov.Stop()
 	e.mu.Lock()
 	for _, cm := range e.composites {
 		close(cm.closed)

@@ -35,7 +35,6 @@ func (e *Engine) deferredQueue(top *txn.Txn) *deferredQueue {
 // enqueueDeferred queues a whole rule for execution at the top-level
 // transaction's EOT.
 func (e *Engine) enqueueDeferred(top *txn.Txn, r *Rule, in *event.Instance) {
-	in.Retain() // read again at EOT, after the raiser's Recycle
 	q := e.deferredQueue(top)
 	q.mu.Lock()
 	q.entries = append(q.entries, deferredEntry{rule: r, in: in, at: e.clk.Now()})
@@ -46,7 +45,6 @@ func (e *Engine) enqueueDeferred(top *txn.Txn, r *Rule, in *event.Instance) {
 // enqueueDeferredAction queues only the action part (the condition was
 // evaluated immediately and held).
 func (e *Engine) enqueueDeferredAction(top *txn.Txn, r *Rule, in *event.Instance) {
-	in.Retain() // read again at EOT, after the raiser's Recycle
 	q := e.deferredQueue(top)
 	q.mu.Lock()
 	q.entries = append(q.entries, deferredEntry{rule: r, in: in, at: e.clk.Now(), actionOnly: true})
@@ -84,9 +82,9 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 		// is the rule work itself — which is exactly what the record in
 		// the dead-letter queue preserves for replay. Immediate rules
 		// are untouched: they already ran inline, inside the trigger.
-		if g := e.gov; g != nil && g.ShouldShed(governor.ClassDeferred) {
+		if e.gov.ShouldShed(governor.ClassDeferred) {
 			for _, entry := range batch {
-				g.NoteShed(governor.ClassDeferred)
+				e.gov.NoteShed(governor.ClassDeferred)
 				e.exec.addDeadLetter(entry.rule, entry.in, 0, governor.ErrOverloaded, "governor-shed")
 			}
 			continue

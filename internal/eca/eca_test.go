@@ -1031,3 +1031,35 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal("no events counted")
 	}
 }
+
+// TestKeptTriggerStaysValid: an immediate rule that keeps rc.Trigger
+// past its return still reads the instance that fired it after later
+// events have been raised and dispatched.
+func TestKeptTriggerStaysValid(t *testing.T) {
+	e, db, _ := newTestEngine(t, Options{})
+	obj := newSensor(t, db)
+	var kept *event.Instance
+	if err := e.AddRule(&Rule{
+		Name: "keeper", EventKey: pingKey(), ActionMode: Immediate,
+		Action: func(rc *RuleCtx) error {
+			if kept == nil {
+				kept = rc.Trigger
+			}
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	for i := 1; i <= 4; i++ {
+		if _, err := db.Invoke(tx, obj, "ping", int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if kept == nil || kept.SpecKey != pingKey() || len(kept.Args) != 1 || kept.Args[0] != int64(1) {
+		t.Fatalf("kept trigger reads %v args %v, want %s args [1]", kept, kept.Args, pingKey())
+	}
+}

@@ -89,11 +89,14 @@ type Options struct {
 	AllowUnsafeImmediateComposite bool
 	// Workers bounds the detached-rule worker pool (default 8).
 	Workers int
-	// Queue bounds the pending detached-rule queue (default 256).
+	// Queue bounds the pending detached-rule queue (default 256). A
+	// raiser that finds it full waits for space until the governor
+	// sheds the spawn.
 	Queue int
-	// Overload selects what a full queue does to new detached work:
-	// block the raising goroutine (default) or shed with ErrOverload.
-	Overload OverloadPolicy
+	// Governor tunes the engine's overload governor (watermark
+	// hysteresis, admission deadline, evaluation interval, or Disabled
+	// for the ablation arm). Clock and Metrics default to the engine's.
+	Governor governor.Options
 	// RuleTimeout bounds each detached rule attempt; the watchdog
 	// aborts the rule transaction on expiry. 0 means no deadline.
 	RuleTimeout time.Duration
@@ -216,7 +219,6 @@ type engineMetrics struct {
 	retries       *obs.Counter
 	panics        *obs.Counter
 	deadlines     *obs.Counter
-	rejOverload   *obs.Counter
 	rejDraining   *obs.Counter
 	rejBreaker    *obs.Counter
 	breakerTrips  *obs.Counter
@@ -284,7 +286,6 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 			"Rule conditions/actions that panicked and were converted to aborts."),
 		deadlines: reg.Counter("reach_rule_deadline_total",
 			"Detached rule attempts aborted by the per-rule deadline."),
-		rejOverload: reg.Counter(rejected, rejectedHelp, "reason", "overload"),
 		rejDraining: reg.Counter(rejected, rejectedHelp, "reason", "draining"),
 		rejBreaker:  reg.Counter(rejected, rejectedHelp, "reason", "breaker-open"),
 		breakerTrips: reg.Counter("reach_rule_breaker_trips_total",
@@ -304,7 +305,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		execInflight: reg.Gauge("reach_executor_inflight",
 			"Accepted detached firings not yet finished (queued or running)."),
 		historyBytes: reg.Gauge("reach_event_history_bytes",
-			"Approximate bytes held across all event-history shards (local and global)."),
+			"Approximate bytes held across all event histories (local and global)."),
 		consolidated: reg.Counter("reach_history_consolidated_managers_total",
 			"Local histories visited by history consolidation at top-level commit or abort."),
 		rejGovernor: reg.Counter(rejected, rejectedHelp, "reason", "governor-shed"),
@@ -346,14 +347,13 @@ type Engine struct {
 	cascadeMu    sync.Mutex
 	cascadeBound int // static bound from rule-set analysis; 0 = none
 
-	hist *shardedHistory
+	hist *history
 
 	exec   *executor
 	closed atomic.Bool
 
-	// gov, when installed, is the overload governor the shed points
-	// (detached spawn, deferred drain) consult. Set once at wiring
-	// time, before traffic, like the txn listener.
+	// gov is the overload governor the shed points (detached spawn,
+	// deferred drain, trace minting) consult.
 	gov *governor.Governor
 
 	tempMu    sync.Mutex
@@ -386,7 +386,6 @@ func New(db *oodb.DB, opts Options) *Engine {
 		composites:   make(map[string]*compositeMgr),
 		activeTxns:   make(map[uint64]*txn.Txn),
 		resolvedTxns: make(map[uint64]txn.Status),
-		hist:         newShardedHistory(opts.GlobalHistorySize),
 		temporals:    make(map[*TemporalHandle]struct{}),
 		reg:          reg,
 		tracer:       tracer,
@@ -394,39 +393,70 @@ func New(db *oodb.DB, opts Options) *Engine {
 	}
 	// Every history (global and per-manager local) shares one byte
 	// gauge so the governor sees total history footprint in one read.
-	e.hist.bytes = e.met.historyBytes
+	e.hist = newHistory(opts.GlobalHistorySize, e.met.historyBytes)
 	e.slowLog = obs.NewSlowLog(opts.SlowLogCapacity, opts.SlowLogThreshold)
 	e.slowLog.Instrument(reg)
 	tracer.SetSlowLog(e.slowLog)
+	e.gov = newGovernor(e)
 	e.exec = newExecutor(e)
 	e.disp = sentry.New(sentry.ConsumerFunc(e.Consume))
 	e.disp.Instrument(reg, tracer, e.clk.Now)
+	e.disp.SetShedProbe(e.shedTraces)
 	db.TxnManager().Instrument(reg)
 	db.TxnManager().SetTracer(tracer)
 	db.SetSink(e.disp)
 	db.TxnManager().SetListener((*txnListener)(e))
+	e.gov.Start()
 	return e
+}
+
+// newGovernor builds the engine's overload governor with the engine's
+// own resources registered. Immediate-coupled rules are never routed
+// through it — they run inside the triggering transaction and abort
+// with it (Table 1), so shedding them would silently change
+// transaction semantics. Further subsystems register on
+// Engine.Governor; watermarks are retunable live via SetLevels.
+func newGovernor(e *Engine) *governor.Governor {
+	opts := e.opts.Governor
+	if opts.Clock == nil {
+		opts.Clock = e.clk
+	}
+	opts.Metrics = e.reg
+	gov := governor.New(opts)
+	queue := int64(e.opts.Queue)
+	// Visibility-only resources (zero watermarks): accounted in
+	// /health but never driving the state. Dead-letter depth is
+	// deliberately among them — the governor's own sheds are
+	// dead-lettered, so watermarking the queue would create a
+	// shed → dead-letter → degraded feedback loop that blocks
+	// recovery to healthy after load drops.
+	gov.Register("history-bytes", e.HistoryBytes, governor.Levels{})
+	gov.Register("deadletter-depth", e.DeadLetterDepth, governor.Levels{})
+	// The detached backlog degrades at one queue's worth of unfinished
+	// work (the pool is saturated: shedding detached firings is
+	// cheaper than queueing them into a convoy) and sheds at two. A
+	// raiser parked on the full queue counts in the backlog, so the
+	// shed it triggers also frees that raiser (see executor.submit).
+	gov.Register("detached-backlog", e.DetachedBacklog,
+		governor.Levels{Degraded: queue, Shedding: 2 * queue})
+	// Deferred work is bounded per transaction by MaxDeferredRounds
+	// but not across transactions; watermark the aggregate.
+	gov.Register("deferred-depth", e.DeferredDepth,
+		governor.Levels{Degraded: 4 * queue, Shedding: 16 * queue})
+	return gov
 }
 
 // Metrics exposes the engine's metric registry — the one shared with
 // the sentry dispatcher and the transaction manager.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
-// SetGovernor installs the overload governor the engine's shed points
-// consult: detached spawns are shed from the degraded state, deferred
-// batches from shedding. Call it at wiring time, before traffic; nil
-// (the default) sheds nothing. Immediate-coupled rules are never
-// routed through the governor — they run inside the triggering
-// transaction and abort with it (Table 1), so shedding them would
-// silently change transaction semantics.
-func (e *Engine) SetGovernor(g *governor.Governor) { e.gov = g }
+// Governor returns the engine's overload governor: detached spawns
+// are shed from the degraded state, deferred batches from shedding.
+func (e *Engine) Governor() *governor.Governor { return e.gov }
 
 // shedTraces reports whether trace minting is currently shed: the
 // governor's lightest degradation, taken from the degraded state on.
-func (e *Engine) shedTraces() bool {
-	g := e.gov
-	return g != nil && g.State() >= governor.Degraded
-}
+func (e *Engine) shedTraces() bool { return e.gov.State() >= governor.Degraded }
 
 // DeferredDepth reports deferred firings queued across all live
 // transactions — a governor resource.
@@ -509,7 +539,7 @@ type Manager struct {
 	mu        sync.Mutex
 	rules     []*Rule
 	composers []*compositeMgr
-	local     *shardedHistory
+	local     *history
 
 	// fires is the pre-resolved firing partition: the enabled rules
 	// split by coupling mode, rebuilt under mu whenever the rule list
@@ -568,7 +598,7 @@ func (m *Manager) Rules() []*Rule {
 }
 
 // LocalHistory returns the manager's local event history, oldest
-// first. The sharded rings synchronize themselves.
+// first.
 func (m *Manager) LocalHistory() []HistoryEntry {
 	return m.local.entries()
 }
@@ -580,8 +610,7 @@ func (e *Engine) managerLocked(key string, kind event.Kind) *Manager {
 	if m, ok := e.managers[key]; ok {
 		return m
 	}
-	m := &Manager{key: key, kind: kind, local: newShardedHistory(e.opts.LocalHistorySize)}
-	m.local.bytes = e.met.historyBytes
+	m := &Manager{key: key, kind: kind, local: newHistory(e.opts.LocalHistorySize, e.met.historyBytes)}
 	e.managers[key] = m
 	snap := make(map[string]*Manager, len(e.managers))
 	for k, v := range e.managers {

@@ -26,33 +26,8 @@ import (
 	"repro/internal/txn"
 )
 
-// OverloadPolicy selects what a full executor queue does to new
-// detached work.
-type OverloadPolicy int
-
-// Overload policies.
-const (
-	// OverloadBlock stalls the raising goroutine until queue space
-	// frees up (backpressure; the default).
-	OverloadBlock OverloadPolicy = iota
-	// OverloadShed rejects the spawn with ErrOverload and records it
-	// in the dead-letter queue.
-	OverloadShed
-)
-
-// String implements fmt.Stringer.
-func (p OverloadPolicy) String() string {
-	if p == OverloadShed {
-		return "shed"
-	}
-	return "block"
-}
-
 // Typed executor errors.
 var (
-	// ErrOverload rejects a detached spawn when the queue is full and
-	// the policy is OverloadShed.
-	ErrOverload = errors.New("eca: executor overloaded")
 	// ErrDraining rejects detached spawns after Drain or Close began.
 	ErrDraining = errors.New("eca: executor draining")
 	// ErrRuleDeadline aborts a rule transaction whose attempt exceeded
@@ -166,47 +141,31 @@ func (x *executor) submit(job ruleJob) error {
 	x.inflight[job.rule.Name]++
 	x.mu.Unlock()
 	x.e.met.execInflight.Add(1)
-	if x.e.opts.Overload == OverloadShed {
+	for {
+		// The raiser may be parked here while holding its transaction's
+		// locks — locks the queued detached rules may need to run. The
+		// governor breaks that cycle: every state transition wakes the
+		// park to re-check the shed ladder, so once the backlog (which
+		// counts this parked reservation) degrades the system, the spawn
+		// sheds instead of waiting. Channel fetch precedes the ladder
+		// check so a transition between the two cannot be missed.
+		stateCh := x.e.gov.StateChanged()
+		if x.e.gov.ShouldShed(governor.ClassDetached) {
+			x.jobDone(job.rule.Name)
+			return governor.ErrOverloaded
+		}
 		select {
 		case x.queue <- job:
-		default:
+			depth := int64(len(x.queue))
+			x.e.met.execQueue.Set(depth)
+			x.e.met.execQueueHigh.SetMax(depth)
+			return nil
+		case <-x.drainCh:
 			x.jobDone(job.rule.Name)
-			return ErrOverload
-		}
-	} else {
-	enqueue:
-		for {
-			// The raiser may be parked here while holding its
-			// transaction's locks — locks the queued detached rules may
-			// need to run. The governor breaks that cycle: every state
-			// transition wakes the park to re-check the shed ladder, so
-			// once the backlog (which counts this parked reservation)
-			// degrades the system, the spawn sheds instead of waiting.
-			// Channel fetch precedes the ladder check so a transition
-			// between the two cannot be missed. Without a governor
-			// stateCh is nil and this is plain bounded backpressure.
-			var stateCh <-chan struct{}
-			if g := x.e.gov; g != nil {
-				stateCh = g.StateChanged()
-				if g.ShouldShed(governor.ClassDetached) {
-					x.jobDone(job.rule.Name)
-					return governor.ErrOverloaded
-				}
-			}
-			select {
-			case x.queue <- job:
-				break enqueue
-			case <-x.drainCh:
-				x.jobDone(job.rule.Name)
-				return ErrDraining
-			case <-stateCh:
-			}
+			return ErrDraining
+		case <-stateCh:
 		}
 	}
-	depth := int64(len(x.queue))
-	x.e.met.execQueue.Set(depth)
-	x.e.met.execQueueHigh.SetMax(depth)
-	return nil
 }
 
 // jobDone releases an in-flight reservation and wakes waiters.
@@ -535,7 +494,7 @@ func (x *executor) backoff(attempt int) bool {
 // spawnDetached routes a detached firing onto the executor: breaker
 // check, synchronous transaction + dependency setup for the modes
 // that "may begin in parallel" (§3.2), then admission under the
-// overload policy. Only accepted firings count as fired.
+// governor. Only accepted firings count as fired.
 func (e *Engine) spawnDetached(r *Rule, in *event.Instance) {
 	x := e.exec
 	// The governor's first shed rung: from the degraded state on,
@@ -543,13 +502,12 @@ func (e *Engine) spawnDetached(r *Rule, in *event.Instance) {
 	// loss is recorded in the dead-letter queue — detached rules are
 	// independent top-level transactions (Table 1), so dropping one
 	// never changes the triggering transaction's outcome.
-	if g := e.gov; g != nil && g.ShouldShed(governor.ClassDetached) {
-		g.NoteShed(governor.ClassDetached)
+	if e.gov.ShouldShed(governor.ClassDetached) {
+		e.gov.NoteShed(governor.ClassDetached)
 		e.met.rejGovernor.Inc()
 		x.addDeadLetter(r, in, 0, governor.ErrOverloaded, "governor-shed")
 		return
 	}
-	in.Retain() // the detached worker reads it after the raiser returns
 	if x.breakerOpen(r.Name) {
 		e.met.rejBreaker.Inc()
 		x.addDeadLetter(r, in, 0, ErrBreakerOpen, "breaker-open")
@@ -573,14 +531,9 @@ func (e *Engine) spawnDetached(r *Rule, in *event.Instance) {
 		case errors.Is(err, governor.ErrOverloaded):
 			// Shed out of a blocked park: the system degraded while
 			// this spawn waited for queue space.
-			if g := e.gov; g != nil {
-				g.NoteShed(governor.ClassDetached)
-			}
+			e.gov.NoteShed(governor.ClassDetached)
 			e.met.rejGovernor.Inc()
 			x.addDeadLetter(r, in, 0, err, "governor-shed")
-		case errors.Is(err, ErrOverload):
-			e.met.rejOverload.Inc()
-			x.addDeadLetter(r, in, 0, err, "overload")
 		default:
 			e.met.rejDraining.Inc()
 		}

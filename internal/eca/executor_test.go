@@ -14,6 +14,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/event"
 	"repro/internal/fault"
+	"repro/internal/governor"
 	"repro/internal/oodb"
 	"repro/internal/txn"
 )
@@ -280,11 +281,12 @@ func TestBreakerTripAndRearm(t *testing.T) {
 	}
 }
 
-// TestDetachedOverloadShed fills a Workers=1/Queue=1 executor and
-// verifies the third spawn is shed: counted, dead-lettered, never
-// executed.
+// TestDetachedOverloadShed fills a Workers=1/Queue=1 executor, parks
+// a third spawn on the full queue, and verifies the governor sheds it
+// once the backlog reaches its shedding watermark (2×Queue): counted,
+// dead-lettered, never executed.
 func TestDetachedOverloadShed(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{Workers: 1, Queue: 1, Overload: OverloadShed})
+	e, db, _ := newTestEngine(t, Options{Workers: 1, Queue: 1})
 	obj := newSensor(t, db)
 
 	started := make(chan struct{}, 3)
@@ -305,23 +307,88 @@ func TestDetachedOverloadShed(t *testing.T) {
 	fireOnce(t, db, obj) // occupies the single worker...
 	<-started            // ...and the queue is observably empty again
 	fireOnce(t, db, obj) // fills the queue
-	fireOnce(t, db, obj) // shed
+	parked := make(chan struct{})
+	go func() {
+		defer close(parked)
+		fireOnce(t, db, obj) // parks on the full queue, then is shed
+	}()
+	for e.DetachedBacklog() < 3 {
+		runtime.Gosched()
+	}
+	if got := e.Governor().Evaluate(); got != governor.Shedding {
+		t.Fatalf("governor state = %v with a backlog of 3, want shedding", got)
+	}
+	<-parked
 
-	if got := e.met.rejOverload.Value(); got != 1 {
-		t.Fatalf("rejected{overload} = %d, want 1", got)
+	if got := e.met.rejGovernor.Value(); got != 1 {
+		t.Fatalf("rejected{governor-shed} = %d, want 1", got)
+	}
+	if got := e.Governor().Sheds()[governor.ClassDetached]; got != 1 {
+		t.Fatalf("governor detached sheds = %d, want 1", got)
 	}
 	if got := e.met.firedDetached.Value(); got != 2 {
 		t.Fatalf("fired{detached} = %d, want 2 (shed spawn must not count)", got)
 	}
 	dl := e.DeadLetters()
-	if len(dl) != 1 || dl[0].Reason != "overload" || !strings.Contains(dl[0].Err, "overloaded") {
-		t.Fatalf("dead letters = %+v, want one overload entry", dl)
+	if len(dl) != 1 || dl[0].Reason != "governor-shed" || !strings.Contains(dl[0].Err, "overloaded") {
+		t.Fatalf("dead letters = %+v, want one governor-shed entry", dl)
 	}
 
 	close(hold)
 	e.WaitDetached()
 	if got := ran.Load(); got != 2 {
 		t.Fatalf("executed %d firings, want 2", got)
+	}
+}
+
+// TestParkedRaiserCannotDeadlock runs the engine alone, with no system
+// assembled around it: one transaction raises three detached firings
+// whose rule writes the sensor the transaction holds X-locked. The
+// first firing's worker waits on that lock, the second fills the
+// queue, and the third parks the raiser on the full queue while it
+// still holds the lock. The engine's own governor must shed the parked
+// spawn so the transaction commits and the accepted firings then run.
+func TestParkedRaiserCannotDeadlock(t *testing.T) {
+	e, db := newExecEngine(t, Options{Workers: 1, Queue: 1}, clock.NewReal())
+	obj := newSensor(t, db)
+	var ran atomic.Int32
+	if err := e.AddRule(&Rule{
+		Name: "writeback", EventKey: pingKey(), ActionMode: Detached,
+		Action: func(rc *RuleCtx) error {
+			ran.Add(1)
+			return rc.Ctx().Set(obj, "alarms", int64(1))
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		tx := db.Begin()
+		for i := 1; i <= 3; i++ {
+			if _, err := db.Invoke(tx, obj, "ping", int64(i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- tx.Commit()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("trigger transaction: %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("raiser parked on the full queue while holding the lock its firings need: deadlock")
+	}
+
+	dl := e.DeadLetters()
+	if len(dl) != 1 || dl[0].Reason != "governor-shed" {
+		t.Fatalf("dead letters = %+v, want the third spawn shed by the governor", dl)
+	}
+	e.WaitDetached()
+	if got := ran.Load(); got != 2 {
+		t.Fatalf("executed %d firings, want the 2 accepted ones", got)
 	}
 }
 
@@ -714,7 +781,7 @@ func TestDetachedRuleFaultInjection(t *testing.T) {
 }
 
 // TestExecutorStress is the make-stress workhorse: a small pool under
-// shed policy, rules that panic, deadlock, fail, and succeed, raisers
+// the governor's shed ladder, rules that panic, deadlock, fail, and succeed, raisers
 // on several goroutines, and a WAL failpoint injecting storage errors
 // every few commits. The assertions are liveness and bookkeeping: the
 // engine drains within the deadline and every accepted spawn resolved.
@@ -731,7 +798,6 @@ func TestExecutorStress(t *testing.T) {
 	e := New(db, Options{
 		Workers:          4,
 		Queue:            8,
-		Overload:         OverloadShed,
 		RuleRetries:      2,
 		RetryBackoff:     time.Millisecond,
 		RetryBackoffMax:  4 * time.Millisecond,

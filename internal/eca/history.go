@@ -3,7 +3,6 @@ package eca
 import (
 	"sort"
 	"sync"
-	"sync/atomic" //lint:allow rawatomics history shard round-robin counter, not metrics
 	"time"
 
 	"repro/internal/obs"
@@ -82,88 +81,48 @@ func (r *historyRing) forTxn(id uint64) []HistoryEntry {
 	return out
 }
 
-// historyShards is the maximum number of partitions a sharded history
-// splits into. A power of two so shard selection is a mask.
-const historyShards = 8
-
-// shardedHistory is a history split across up to historyShards ring
-// shards, each behind its own mutex, so concurrent recorders on the
-// raise path do not serialize on one history lock — the §6.3 argument
-// against a central log, applied a second time inside each history.
-// Appends distribute round-robin; the shard count is the largest
-// power-of-two divisor of the capacity (≤ historyShards), which keeps
-// the eviction contract exact: the union of the shards always holds
-// precisely the most recent capacity appends. Readers consolidate by
-// merging the shards and sorting by Seq — reads are the slow path.
-type shardedHistory struct {
-	ctr    atomic.Uint64
-	mask   uint64
-	shards []historyShard
-	// bytes accumulates the rings' approximate footprint. The engine
+// history is one event history — a manager's local history or the
+// global one — behind one mutex. The per-manager split is the §6.3
+// argument against a central log; each history is small and written
+// by the events of one type, so it takes no further partitioning.
+type history struct {
+	mu   sync.Mutex
+	ring historyRing
+	// bytes accumulates the ring's approximate footprint. The engine
 	// points every history (global and per-manager local) at one
-	// shared gauge so the governor reads total footprint in one load;
-	// standalone histories get a private gauge.
+	// shared gauge so the governor reads total footprint in one load.
 	bytes *obs.Gauge
 }
 
-type historyShard struct {
-	mu   sync.Mutex
-	ring historyRing
-	// pad keeps neighbouring shards off one cache line so round-robin
-	// writers do not false-share.
-	_ [40]byte
+func newHistory(capacity int, bytes *obs.Gauge) *history {
+	return &history{ring: historyRing{capacity: max(capacity, 1)}, bytes: bytes}
 }
 
-func newShardedHistory(capacity int) *shardedHistory {
-	if capacity < 1 {
-		capacity = 1
-	}
-	n := historyShards
-	for capacity%n != 0 {
-		n /= 2
-	}
-	h := &shardedHistory{mask: uint64(n - 1), shards: make([]historyShard, n), bytes: new(obs.Gauge)}
-	for i := range h.shards {
-		h.shards[i].ring = historyRing{capacity: capacity / n}
-	}
-	return h
-}
-
-func (h *shardedHistory) append(e HistoryEntry) {
-	s := &h.shards[h.ctr.Add(1)&h.mask]
-	s.mu.Lock()
-	delta := s.ring.append(e)
-	s.mu.Unlock()
+func (h *history) append(e HistoryEntry) {
+	h.mu.Lock()
+	delta := h.ring.append(e)
+	h.mu.Unlock()
 	if delta != 0 {
 		h.bytes.Add(delta)
 	}
 }
 
-// entries consolidates the shards into one Seq-ordered slice.
-func (h *shardedHistory) entries() []HistoryEntry {
-	var out []HistoryEntry
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		out = append(out, s.ring.entries()...)
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+// entries returns the history oldest first by Seq. The ring holds
+// append order, which concurrent consolidations may interleave.
+func (h *history) entries() []HistoryEntry {
+	h.mu.Lock()
+	out := h.ring.entries()
+	h.mu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
-// forTxn consolidates the shards' entries belonging to one
-// transaction, Seq-ordered.
-func (h *shardedHistory) forTxn(id uint64) []HistoryEntry {
-	var out []HistoryEntry
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		out = append(out, s.ring.forTxn(id)...)
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+// forTxn returns the entries belonging to one transaction, in append
+// order; consolidation orders them by Seq across managers.
+func (h *history) forTxn(id uint64) []HistoryEntry {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.ring.forTxn(id)
 }
 
 // GlobalHistory returns the consolidated event history, oldest first.

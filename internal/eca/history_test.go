@@ -229,10 +229,8 @@ func TestIdleManagersHoldNoHistory(t *testing.T) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for key, m := range e.managers {
-		for i := range m.local.shards {
-			if m.local.shards[i].ring.buf != nil {
-				t.Fatalf("idle manager %s allocated a history buffer", key)
-			}
+		if m.local.ring.buf != nil {
+			t.Fatalf("idle manager %s allocated a history buffer", key)
 		}
 	}
 }

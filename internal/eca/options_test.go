@@ -1,6 +1,7 @@
 package eca
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -162,28 +163,31 @@ func TestUnsafeImmediateCompositeSync(t *testing.T) {
 // TestHistoryRingBounded verifies local history rings respect their
 // capacity.
 func TestHistoryRingBounded(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{LocalHistorySize: 8})
-	obj := newSensor(t, db)
-	e.AddRule(&Rule{
-		Name: "r", EventKey: pingKey(), ActionMode: Immediate,
-		Action: func(*RuleCtx) error { return nil },
-	})
-	tx := db.Begin()
-	for i := 0; i < 30; i++ {
-		db.Invoke(tx, obj, "ping", int64(i))
+	for _, size := range []int{8, 7} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			e, db, _ := newTestEngine(t, Options{LocalHistorySize: size})
+			obj := newSensor(t, db)
+			e.AddRule(&Rule{
+				Name: "r", EventKey: pingKey(), ActionMode: Immediate,
+				Action: func(*RuleCtx) error { return nil },
+			})
+			tx := db.Begin()
+			for i := 0; i < 30; i++ {
+				db.Invoke(tx, obj, "ping", int64(i))
+			}
+			m := e.lookupManager(pingKey())
+			hist := m.LocalHistory()
+			if len(hist) != size {
+				t.Fatalf("local history = %d entries, want %d (ring capacity)", len(hist), size)
+			}
+			for i := 1; i < len(hist); i++ {
+				if hist[i].Seq <= hist[i-1].Seq {
+					t.Fatal("history not in occurrence order")
+				}
+			}
+			tx.Commit()
+		})
 	}
-	m := e.lookupManager(pingKey())
-	hist := m.LocalHistory()
-	if len(hist) != 8 {
-		t.Fatalf("local history = %d entries, want 8 (ring capacity)", len(hist))
-	}
-	// Oldest retained entries are the most recent 8 occurrences.
-	for i := 1; i < len(hist); i++ {
-		if hist[i].Seq <= hist[i-1].Seq {
-			t.Fatal("history not in occurrence order")
-		}
-	}
-	tx.Commit()
 }
 
 // TestCompositeOfComposite nests a named composite inside another via

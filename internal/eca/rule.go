@@ -15,7 +15,8 @@ import (
 // for immediate/deferred coupling, an independent top-level
 // transaction for the detached modes). Trigger is the event instance
 // that fired the rule; for composite events its Parts carry the
-// constituents and their parameters.
+// constituents and their parameters. The instance is never reused:
+// it stays valid, and unchanged, for as long as the rule holds it.
 type RuleCtx struct {
 	Engine  *Engine
 	DB      *oodb.DB

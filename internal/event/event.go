@@ -232,12 +232,6 @@ type Instance struct {
 	// fired at depth n. Composite instances inherit the deepest
 	// constituent. The engine's cascade-depth guard bounds it.
 	Depth int
-
-	// retained marks a pooled instance as escaped to an asynchronous
-	// consumer (deferred queue, detached executor, composite
-	// composer); Recycle leaves it to the garbage collector. Written
-	// only on the raising goroutine before Emit returns.
-	retained bool
 }
 
 // String implements fmt.Stringer.

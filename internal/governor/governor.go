@@ -215,7 +215,7 @@ type Governor struct {
 	loopDone chan struct{}
 }
 
-// New returns a governor. Call Register for each resource, then Start
+// New returns a governor. Call Register for each resource and Start
 // to run the evaluation loop.
 func New(opts Options) *Governor {
 	opts = opts.withDefaults()
@@ -252,8 +252,9 @@ func New(opts Options) *Governor {
 // Register adds a resource: a name, a cheap reader (typically an
 // atomic gauge load), and its watermarks. Resources registered with
 // zero Levels are accounted in Snapshot but never drive the state.
-// Register before Start; readers are called off the hot path, on the
-// evaluation interval only.
+// A resource registered after Start counts from the next evaluation;
+// readers are called off the hot path, on the evaluation interval
+// only.
 func (g *Governor) Register(name string, read func() int64, levels Levels) {
 	g.mu.Lock()
 	g.resources = append(g.resources, resource{name: name, read: read, levels: levels})
@@ -276,9 +277,9 @@ func (g *Governor) SetLevels(name string, levels Levels) bool {
 }
 
 // State reports the current health state: one atomic load, safe on
-// every hot path. A nil governor is always healthy.
+// every hot path. A disabled governor is always healthy.
 func (g *Governor) State() State {
-	if g == nil || g.opts.Disabled {
+	if g.opts.Disabled {
 		return Healthy
 	}
 	return State(g.stateG.Value())
@@ -302,18 +303,12 @@ func (g *Governor) ShouldShed(c Class) bool {
 
 // NoteShed records one shed unit of the given class.
 func (g *Governor) NoteShed(c Class) {
-	if g == nil {
-		return
-	}
 	g.sheds[c].Inc()
 }
 
 // Sheds reports the cumulative shed counts indexed by Class.
 func (g *Governor) Sheds() [3]uint64 {
 	var out [3]uint64
-	if g == nil {
-		return out
-	}
 	for c := ClassDetached; c <= ClassWriter; c++ {
 		out[c] = g.sheds[c].Value()
 	}
@@ -325,7 +320,7 @@ func (g *Governor) Sheds() [3]uint64 {
 // waits out the hysteresis window. The background loop calls it on
 // the interval; tests call it directly.
 func (g *Governor) Evaluate() State {
-	if g == nil || g.opts.Disabled {
+	if g.opts.Disabled {
 		return Healthy
 	}
 	g.mu.Lock()
@@ -383,9 +378,9 @@ func (g *Governor) setStateLocked(s State) {
 // caller until the state improves or the admission deadline expires,
 // then rejects with ErrOverloaded — the queue-then-reject contract
 // that turns a thundering herd into bounded, retriable backpressure.
-// A nil or disabled governor admits everything.
+// A disabled governor admits everything.
 func (g *Governor) AdmitTxn() error {
-	if g == nil || g.opts.Disabled {
+	if g.opts.Disabled {
 		return nil
 	}
 	var deadline time.Time
@@ -425,12 +420,9 @@ func (g *Governor) AdmitTxn() error {
 // locks selects on it alongside the queue so a worsening state can
 // convert the park into a shed — without this, backpressure applied
 // to a lock-holding raiser can deadlock against workers waiting on
-// those very locks. A nil governor returns a nil channel, which
-// blocks forever in a select: the ungoverned behavior.
+// those very locks. A disabled governor never changes state, so its
+// channel never closes: the ungoverned behavior of the ablation arm.
 func (g *Governor) StateChanged() <-chan struct{} {
-	if g == nil {
-		return nil
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.waiters
@@ -441,9 +433,6 @@ func (g *Governor) StateChanged() <-chan struct{} {
 // graceful-shutdown path calls it before draining the executor so no
 // new work races the final checkpoint.
 func (g *Governor) BeginShutdown() {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	if !g.shutdown {
 		g.shutdown = true
@@ -455,9 +444,6 @@ func (g *Governor) BeginShutdown() {
 
 // ShuttingDown reports whether BeginShutdown was called.
 func (g *Governor) ShuttingDown() bool {
-	if g == nil {
-		return false
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.shutdown
@@ -466,7 +452,7 @@ func (g *Governor) ShuttingDown() bool {
 // Start runs the background evaluation loop. Idempotent; a disabled
 // governor never starts one.
 func (g *Governor) Start() {
-	if g == nil || g.opts.Disabled {
+	if g.opts.Disabled {
 		return
 	}
 	g.mu.Lock()
@@ -484,10 +470,15 @@ func (g *Governor) Start() {
 func (g *Governor) loop(stop, done chan struct{}) {
 	defer close(done)
 	for {
+		// A stoppable timer, so Stop leaves no pending call behind on
+		// a virtual clock.
+		tick := make(chan struct{}, 1)
+		t := g.clk.AfterFunc(g.opts.Interval, func() { tick <- struct{}{} })
 		select {
 		case <-stop:
+			t.Stop()
 			return
-		case <-g.clk.After(g.opts.Interval):
+		case <-tick:
 		}
 		g.Evaluate()
 	}
@@ -496,9 +487,6 @@ func (g *Governor) loop(stop, done chan struct{}) {
 // Stop halts the evaluation loop and waits for it to exit.
 // Idempotent; a no-op when the loop never started.
 func (g *Governor) Stop() {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	stop, done := g.loopStop, g.loopDone
 	g.loopStop, g.loopDone = nil, nil
@@ -530,9 +518,6 @@ type Snapshot struct {
 
 // Snapshot reads every resource and reports the full governor view.
 func (g *Governor) Snapshot() Snapshot {
-	if g == nil {
-		return Snapshot{State: Healthy.String(), Disabled: true}
-	}
 	g.mu.Lock()
 	res := append([]resource(nil), g.resources...)
 	shutdown := g.shutdown

@@ -225,28 +225,6 @@ func TestDisabledGovernorIsPassThrough(t *testing.T) {
 	g.Stop()
 }
 
-func TestNilGovernorIsSafe(t *testing.T) {
-	var g *Governor
-	if g.State() != Healthy {
-		t.Fatal("nil State != healthy")
-	}
-	if err := g.AdmitTxn(); err != nil {
-		t.Fatalf("nil admit: %v", err)
-	}
-	if g.ShouldShed(ClassDeferred) {
-		t.Fatal("nil governor sheds")
-	}
-	g.NoteShed(ClassDetached)
-	g.BeginShutdown()
-	g.Stop()
-	if g.ShuttingDown() {
-		t.Fatal("nil ShuttingDown")
-	}
-	if s := g.Snapshot(); s.State != "healthy" {
-		t.Fatalf("nil snapshot state %q", s.State)
-	}
-}
-
 func TestSetLevels(t *testing.T) {
 	g, _, load := testGov(t, Options{})
 	if g.SetLevels("nope", Levels{}) {

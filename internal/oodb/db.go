@@ -254,18 +254,16 @@ func (db *DB) Set(t *txn.Txn, obj *Object, attr string, v any) error {
 			if !sink.Wants(key) {
 				return nil
 			}
-			in := event.Get()
-			in.SpecKey = key
-			in.Kind = event.KindState
-			in.Time = db.clk.Now()
-			in.Txn = t.Top().ID()
-			in.OID = uint64(obj.oid)
-			in.Class = obj.class.Name
-			in.Args = append(in.Args, old, val)
-			in.Origin = t
-			err := sink.Emit(in)
-			event.Recycle(in)
-			if err != nil {
+			if err := sink.Emit(&event.Instance{
+				SpecKey: key,
+				Kind:    event.KindState,
+				Time:    db.clk.Now(),
+				Txn:     t.Top().ID(),
+				OID:     uint64(obj.oid),
+				Class:   obj.class.Name,
+				Args:    []any{old, val},
+				Origin:  t,
+			}); err != nil {
 				return err
 			}
 		}
@@ -308,22 +306,20 @@ func (db *DB) emitMethod(t *txn.Txn, obj *Object, method string, args []any, res
 	if !sink.Wants(key) {
 		return nil
 	}
-	in := event.Get()
-	in.SpecKey = key
-	in.Kind = event.KindMethod
-	in.Time = db.clk.Now()
-	in.Txn = t.Top().ID()
-	in.OID = uint64(obj.oid)
-	in.Class = obj.class.Name
-	in.Method = method
-	// Copy, don't alias: the pooled buffer must never capture the
-	// caller's backing array.
-	in.Args = append(in.Args, args...)
-	in.Result = result
-	in.Origin = t
-	err := sink.Emit(in)
-	event.Recycle(in)
-	return err
+	return sink.Emit(&event.Instance{
+		SpecKey: key,
+		Kind:    event.KindMethod,
+		Time:    db.clk.Now(),
+		Txn:     t.Top().ID(),
+		OID:     uint64(obj.oid),
+		Class:   obj.class.Name,
+		Method:  method,
+		// Copy, don't alias: a rule may keep the instance, and the
+		// caller may reuse its backing array.
+		Args:   append([]any(nil), args...),
+		Result: result,
+		Origin: t,
+	})
 }
 
 // Persist marks obj persistent; its state is written at top-level

@@ -394,7 +394,6 @@ func (s *captureSink) Wants(key string) bool {
 }
 
 func (s *captureSink) Emit(in *event.Instance) error {
-	in.Retain() // stored past Emit; keep it out of the pool
 	s.events = append(s.events, in)
 	if s.veto[in.SpecKey] {
 		return fmt.Errorf("vetoed %s", in.SpecKey)

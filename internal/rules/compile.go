@@ -25,14 +25,19 @@ func (l *Loaded) Stop() {
 	}
 }
 
-// Load parses src, compiles every rule, defines the composites the
-// rules need, arms their temporal event sources, and registers the
-// rules with the engine.
+// Load parses src and registers its rules (see Register).
 func Load(e *eca.Engine, src string) (*Loaded, error) {
 	decls, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
+	return Register(e, decls)
+}
+
+// Register compiles every parsed rule, defines the composites the
+// rules need, arms their temporal event sources, and registers the
+// rules with the engine.
+func Register(e *eca.Engine, decls []*RuleDecl) (*Loaded, error) {
 	out := &Loaded{}
 	for _, d := range decls {
 		r, comps, temps, err := Compile(e, d)
@@ -66,7 +71,7 @@ func Load(e *eca.Engine, src string) (*Loaded, error) {
 
 // Compile translates one parsed rule declaration into an eca.Rule,
 // the composite declarations it needs, and the temporal specs to arm.
-// The rule is not registered; Load does that.
+// The rule is not registered; Register does that.
 func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []event.TemporalSpec, error) {
 	index := make(map[string]int, len(d.Decls))
 	for i, v := range d.Decls {
