@@ -26,18 +26,17 @@ vet:
 
 # lint fails on any Go file gofmt would rewrite (build and bench
 # output under dot-directories aside), then runs the REACH-specific
-# analyzers (reachvet) over the module and the semantic rule-language
-# pass (rulec -vet) over every shipped rule file. All three exit
-# nonzero on findings.
+# analyzers (reachvet) over the module. Both exit nonzero on findings.
+# The shipped rule files are checked by analyze.
 lint:
 	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/reachvet
-	$(GO) run ./cmd/rulec -vet examples/*/rules/*.rules
 
-# analyze runs the whole-ruleset interaction analysis (triggering
-# graph, termination, confluence, reachability) over every shipped
-# rule file, failing on unsuppressed errors, and confirms the
+# analyze runs the rule-set analysis (the per-rule coupling,
+# composite, vars and names checks, then termination, confluence and
+# reachability over the triggering graph) over every shipped rule
+# file, failing on unsuppressed errors, and confirms the
 # justified-suppression fixture stays accepted.
 analyze:
 	$(GO) run ./cmd/rulec -analyze examples/*/rules/*.rules

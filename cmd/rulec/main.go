@@ -2,26 +2,25 @@
 // definition files, reports syntax errors with line numbers, and
 // prints a summary of each rule — the events it triggers on, its
 // coupling modes, priorities, and the composite events it would
-// define. With -vet it additionally runs the semantic pass, rejecting
-// rules the engine's Table 1 admission matrix would refuse at load
-// time: invalid coupling/category pairs, cross-transaction composites
-// without a validity interval, unknown consumption policies,
-// duplicate rule names, and undeclared variable references.
+// define.
 //
-// With -analyze it runs the whole-ruleset interaction analysis over
-// every file as one set: the triggering graph (actions raising events
-// that fire further rules), termination (cycles, classified by
-// coupling mode, plus the static cascade-depth bound for acyclic
-// sets), confluence (order-dependent equal-priority pairs), and
+// With -analyze it runs the rule-set analysis over every file as one
+// set. Per-rule analyzers reject what the engine's Table 1 admission
+// matrix would refuse (coupling), malformed composite clauses
+// (composite), duplicate or undeclared variables (vars) and duplicate
+// rule names (names). Over the triggering graph (actions raising
+// events that fire further rules) it checks termination (cycles,
+// classified by coupling mode, plus the static cascade-depth bound for
+// acyclic sets), confluence (order-dependent equal-priority pairs), and
 // reachability (rules whose event can never be raised). Findings can
 // be suppressed per rule with a justified comment in the source:
 //
 //	# lint:allow termination operators bound this loop via the interlock
 //
-// -json emits vet and analysis findings as a JSON array for CI and
-// editors; -dot writes the triggering graph in Graphviz dot syntax.
+// -json emits the findings as a JSON array for CI and editors; -dot
+// writes the triggering graph in Graphviz dot syntax.
 //
-//	rulec [-vet] [-analyze] [-json] [-dot out.dot] file.rules [file2.rules ...]
+//	rulec [-analyze] [-json] [-dot out.dot] file.rules [file2.rules ...]
 //	echo 'rule R { ... };' | rulec -
 package main
 
@@ -39,18 +38,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-// jsonFinding is the machine-readable diagnostic shape shared by -vet
-// and -analyze output: file, line, analyzer, message (plus rule and
-// severity when known).
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Rule     string `json:"rule,omitempty"`
-	Analyzer string `json:"analyzer"`
-	Severity string `json:"severity"`
-	Msg      string `json:"message"`
-}
-
 type ruleFile struct {
 	path  string
 	src   string
@@ -60,12 +47,11 @@ type ruleFile struct {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rulec", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	vet := fs.Bool("vet", false, "run the semantic pass (Table 1, validity, policies, variables)")
-	analyze := fs.Bool("analyze", false, "run whole-ruleset interaction analysis (termination, confluence, reachability)")
-	jsonOut := fs.Bool("json", false, "emit vet/analysis findings as a JSON array on stdout")
+	analyze := fs.Bool("analyze", false, "run the rule-set analysis (coupling, composite, vars, names, termination, confluence, reachability)")
+	jsonOut := fs.Bool("json", false, "with -analyze, emit the findings as a JSON array on stdout")
 	dotPath := fs.String("dot", "", "with -analyze, write the triggering graph as Graphviz dot to this file (- for stdout)")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: rulec [-vet] [-analyze] [-json] [-dot out.dot] <file.rules>... (or - for stdin)")
+		fmt.Fprintln(stderr, "usage: rulec [-analyze] [-json] [-dot out.dot] <file.rules>... (or - for stdin)")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -100,33 +86,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		files = append(files, ruleFile{path: path, src: string(src), decls: decls})
 	}
 
-	var findings []jsonFinding
-
-	if *vet {
-		vetter := reach.NewRuleVetter()
-		for _, f := range files {
-			diags := vetter.Vet(f.path, f.decls)
-			for _, d := range diags {
-				findings = append(findings, jsonFinding{
-					File: d.File, Line: d.Line, Rule: d.Rule,
-					Analyzer: "vet", Severity: "error", Msg: d.Msg,
-				})
-				exit = 1
-			}
-			if *jsonOut {
-				continue
-			}
-			if len(diags) > 0 {
-				for _, d := range diags {
-					fmt.Fprintln(stderr, d)
-				}
-				continue
-			}
-			fmt.Fprintf(stdout, "%s: %d rule(s) OK (vetted)\n", f.path, len(f.decls))
-			summarize(stdout, f.decls)
-		}
-	}
-
+	findings := []reach.RuleFinding{}
 	if *analyze {
 		az := reach.NewRuleAnalyzer()
 		total := 0
@@ -136,18 +96,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		res := az.Run(nil)
 		errs, warns := 0, 0
-		for _, f := range res.Findings {
-			sev := f.Severity.String()
+		findings = append(findings, res.Findings...)
+		for _, f := range findings {
 			if f.Severity == reach.RuleError {
 				errs++
 				exit = 1
 			} else {
 				warns++
 			}
-			findings = append(findings, jsonFinding{
-				File: f.File, Line: f.Line, Rule: f.Rule,
-				Analyzer: f.Analyzer, Severity: sev, Msg: f.Msg,
-			})
 			if !*jsonOut {
 				fmt.Fprintln(stderr, f)
 			}
@@ -165,9 +121,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				exit = 1
 			}
 		}
-	}
-
-	if !*vet && !*analyze {
+	} else {
 		for _, f := range files {
 			fmt.Fprintf(stdout, "%s: %d rule(s) OK\n", f.path, len(f.decls))
 			summarize(stdout, f.decls)
@@ -177,9 +131,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []jsonFinding{}
-		}
 		if err := enc.Encode(findings); err != nil {
 			fmt.Fprintf(stderr, "rulec: %v\n", err)
 			return 1

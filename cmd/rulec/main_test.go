@@ -39,7 +39,7 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 func TestValidRules(t *testing.T) {
-	stdout, stderr, exit := runRulec(t, "-vet", filepath.Join("testdata", "valid.rules"))
+	stdout, stderr, exit := runRulec(t, "-analyze", filepath.Join("testdata", "valid.rules"))
 	if exit != 0 {
 		t.Fatalf("exit = %d, want 0; stderr:\n%s", exit, stderr)
 	}
@@ -60,13 +60,13 @@ func TestSyntaxError(t *testing.T) {
 	checkGolden(t, "syntax_error.golden", stderr)
 }
 
-// TestVetRejectsTable1 seeds one rule per semantic check: Table 1
+// TestVetRejectsTable1 seeds one rule per per-rule check: Table 1
 // violations on temporal and composite events, a cross-transaction
 // composite without validity, an unknown consumption policy, an
 // undeclared variable, and a duplicate rule name.
 func TestVetRejectsTable1(t *testing.T) {
 	path := filepath.Join("testdata", "table1_invalid.rules")
-	stdout, stderr, exit := runRulec(t, "-vet", path)
+	stdout, stderr, exit := runRulec(t, "-analyze", path)
 	if exit != 1 {
 		t.Fatalf("exit = %d, want 1; stdout:\n%s", exit, stdout)
 	}
@@ -80,13 +80,13 @@ func TestVetRejectsTable1(t *testing.T) {
 		"duplicate rule name",
 	} {
 		if !strings.Contains(stderr, want) {
-			t.Errorf("vet output missing %q", want)
+			t.Errorf("analysis output missing %q", want)
 		}
 	}
 	checkGolden(t, "table1_invalid.golden", stderr)
 }
 
-// TestVetPassesWithoutFlag confirms -vet is opt-in: the same
+// TestVetPassesWithoutFlag confirms -analyze is opt-in: the same
 // semantically invalid file parses clean without it.
 func TestVetPassesWithoutFlag(t *testing.T) {
 	_, stderr, exit := runRulec(t, filepath.Join("testdata", "table1_invalid.rules"))
@@ -147,10 +147,10 @@ func TestAnalyzeJSON(t *testing.T) {
 	}
 }
 
-// TestVetJSON: rulec -vet -json emits vet diagnostics in the same
-// machine-readable shape.
+// TestVetJSON: rulec -analyze -json emits the per-rule findings in the
+// same machine-readable shape, each an error under its analyzer.
 func TestVetJSON(t *testing.T) {
-	stdout, _, exit := runRulec(t, "-vet", "-json", filepath.Join("testdata", "table1_invalid.rules"))
+	stdout, _, exit := runRulec(t, "-analyze", "-json", filepath.Join("testdata", "table1_invalid.rules"))
 	if exit != 1 {
 		t.Fatalf("exit = %d, want 1", exit)
 	}
@@ -161,15 +161,22 @@ func TestVetJSON(t *testing.T) {
 	if len(findings) == 0 {
 		t.Fatal("no findings in JSON output")
 	}
+	analyzers := map[string]bool{}
 	for _, f := range findings {
-		if f["analyzer"] != "vet" {
-			t.Errorf("analyzer = %v, want vet", f["analyzer"])
+		analyzers[f["analyzer"].(string)] = true
+		if f["severity"] != "error" {
+			t.Errorf("finding = %v, want an error", f)
+		}
+	}
+	for _, want := range []string{"coupling", "composite", "vars", "names"} {
+		if !analyzers[want] {
+			t.Errorf("no %s finding in %v", want, findings)
 		}
 	}
 	// A clean file emits an empty array, not null.
-	stdout, _, exit = runRulec(t, "-vet", "-json", filepath.Join("testdata", "valid.rules"))
+	stdout, _, exit = runRulec(t, "-analyze", "-json", filepath.Join("testdata", "valid.rules"))
 	if exit != 0 {
-		t.Fatalf("clean vet exit = %d, want 0", exit)
+		t.Fatalf("clean analysis exit = %d, want 0", exit)
 	}
 	if strings.TrimSpace(stdout) != "[]" {
 		t.Errorf("clean -json output = %q, want []", stdout)

@@ -147,3 +147,69 @@ rule CycleC {
 		t.Error("ChainA not marked in-cycle across loads")
 	}
 }
+
+// dupChain is a two-rule chain whose rules share the name X: the first
+// X's action calls drain, which the second X triggers on.
+const dupChain = `
+rule X {
+    prio 5;
+    decl Tank *t;
+    event after t->fill();
+    action imm t->drain();
+};
+
+rule X {
+    prio 4;
+    decl Tank *t;
+    event after t->drain();
+    action imm set t.level = 1;
+};
+`
+
+// TestDuplicateNamesCountInCascadeBound: both rules named X join the
+// triggering graph, so the installed bound covers the whole chain and
+// fill() runs it; a strict load refuses the set for its duplicate name.
+func TestDuplicateNamesCountInCascadeBound(t *testing.T) {
+	sys := newTankSystem(t, Options{})
+	if _, err := sys.LoadRules(dupChain); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Engine.CascadeBound(); got != 2 {
+		t.Errorf("CascadeBound() = %d, want 2", got)
+	}
+	tx := sys.Begin()
+	obj, err := sys.DB.NewObject(tx, "Tank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.DB.Invoke(tx, obj, "fill"); err != nil {
+		t.Fatalf("Invoke(fill) = %v, want nil", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	strict := newTankSystem(t, Options{StrictRules: true})
+	_, err = strict.LoadRules(dupChain)
+	if err == nil || !strings.Contains(err.Error(), "[names] error: duplicate rule name") {
+		t.Fatalf("strict load of duplicate names: err = %v, want a [names] finding", err)
+	}
+}
+
+// TestStrictRulesRejectsUnknownPolicy: a strict load refuses the
+// per-rule errors too — an unknown consumption policy would otherwise
+// run silently as chronicle.
+func TestStrictRulesRejectsUnknownPolicy(t *testing.T) {
+	sys := newTankSystem(t, Options{StrictRules: true})
+	_, err := sys.LoadRules(`
+rule Newest {
+    decl Tank *t;
+    event seq(after t->fill(), after t->drain());
+    policy newest;
+    action deferred abort "x";
+};
+`)
+	if err == nil || !strings.Contains(err.Error(), `[composite] error: unknown consumption policy "newest"`) {
+		t.Fatalf("strict load with policy newest: err = %v, want a [composite] finding", err)
+	}
+}

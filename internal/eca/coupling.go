@@ -68,6 +68,19 @@ func (c Coupling) Detachedness() bool {
 	return false
 }
 
+// Order ranks modes by how early they run: immediate (0) < deferred
+// (1) < every detached variant (2). A rule's condition may not run
+// later than its action.
+func (c Coupling) Order() int {
+	switch c {
+	case Immediate:
+		return 0
+	case Deferred:
+		return 1
+	}
+	return 2
+}
+
 // Couplings lists all six modes in the paper's Table 1 row order.
 func Couplings() []Coupling {
 	return []Coupling{

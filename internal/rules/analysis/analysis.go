@@ -1,12 +1,27 @@
-// Package analysis performs whole-ruleset interaction analysis over
-// parsed REACH rule declarations. Where rulec -vet checks each rule in
-// isolation, this package looks at how rules interact: it derives the
-// events every rule's condition and action can raise (method calls →
-// before/after method events, set statements → state events, abort →
-// the transaction abort event), connects them to the rules those
-// events can fire — through the composite operators seq/and/or/times/
-// closure, with not() terminals tracked but marked non-triggering —
-// and runs three analyses on the resulting triggering graph:
+// Package analysis is the one checker for parsed REACH rule
+// declarations. Every check is an analyzer over the same triggering
+// graph, built in one walk per rule, and reports the same Finding.
+//
+// Four analyzers check each rule on its own (or, for names, against
+// the whole set); their findings are errors:
+//
+//   - coupling: the Table 1 admission of the rule's condition and
+//     action modes against its event category (§3.2), the condition
+//     running no later than the action, detached parity, and
+//     timeout/retry/breaker clauses only on detached rules.
+//   - composite: known consumption policies and scopes, a validity
+//     interval on every cross-transaction composite, and composite
+//     clauses only on composite events.
+//   - vars: no variable declared twice, and every variable the event,
+//     condition or action references declared.
+//   - names: rule names unique across the whole set.
+//
+// Three analyzers look at how rules interact. Each rule's condition
+// and action raise events (method calls → before/after method events,
+// set statements → state events, abort → the transaction abort
+// event); those connect to the rules the events can fire — through
+// the composite operators seq/and/or/times/closure, with not()
+// terminals tracked but marked non-triggering:
 //
 //   - termination: cycles in the graph. A cycle whose rules all run
 //     inside the triggering transaction (immediate/deferred coupling)
@@ -44,8 +59,8 @@ import (
 	"repro/internal/rules"
 )
 
-// Severity ranks findings: errors gate registration and fail rulec
-// -analyze; warnings are advisory.
+// Severity ranks findings: errors gate strict registration and fail
+// rulec -analyze; warnings are advisory.
 type Severity int
 
 // Finding severities.
@@ -76,8 +91,8 @@ type Finding struct {
 	Msg      string   `json:"message"`
 }
 
-// String formats the finding as file:line: rule R: [analyzer] message,
-// matching the vet and lint diagnostic styles.
+// String formats the finding as file:line: rule R: [analyzer] severity:
+// message, matching the lint diagnostic style.
 func (f Finding) String() string {
 	who := ""
 	if f.Rule != "" {
@@ -109,6 +124,8 @@ type Node struct {
 	File string
 	// Cond and Action are the effective coupling modes.
 	Cond, Action eca.Coupling
+	// Category is the Table 1 column of the triggering event.
+	Category eca.Category
 	// Terminals are the primitive leaves of the triggering event.
 	Terminals []Terminal
 	// Raises are the events the rule's condition and action can raise.
@@ -120,7 +137,17 @@ type Node struct {
 	InCycle bool
 	// Unreachable marks rules whose event can never complete.
 	Unreachable bool
+
+	// refs are the variables the event, condition and action
+	// reference, each once, in first-use order.
+	refs []varRef
+	// unbound marks an event leaf whose receiver is undeclared: the
+	// leaf has no key, so the vars finding stands for the rule.
+	unbound bool
 }
+
+// varRef is one variable reference and the rule part it occurs in.
+type varRef struct{ name, where string }
 
 // Name returns the rule name.
 func (n *Node) Name() string { return n.Decl.Name }
@@ -148,16 +175,18 @@ type Edge struct {
 
 // Graph is the whole-ruleset triggering graph.
 type Graph struct {
-	// Nodes in input order (file order, then declaration order).
+	// Nodes in input order (file order, then declaration order); a
+	// duplicate rule name keeps every declaration.
 	Nodes []*Node
 	// Edges sorted by (From, To, Key, Via).
 	Edges []Edge
 
-	index map[string]int // rule name -> Nodes index
+	index map[string]int // rule name -> first Nodes index
 	succ  map[int][]int  // deduplicated adjacency, sorted
 }
 
-// Node returns the graph node for a rule name, or nil.
+// Node returns the graph node for a rule name (its first definition),
+// or nil.
 func (g *Graph) Node(name string) *Node {
 	if i, ok := g.index[name]; ok {
 		return g.Nodes[i]
@@ -252,12 +281,15 @@ func Analyze(name, src string, decls []*rules.RuleDecl, w *World) *Result {
 	return a.Run(w)
 }
 
-// Run builds the triggering graph over every added file and runs the
-// termination, confluence, and reachability analyses against w.
+// Run builds the triggering graph over every added file and runs every
+// analyzer against w.
 func (a *Analyzer) Run(w *World) *Result {
 	g := a.buildGraph()
 	res := &Result{Graph: g}
 	var raw []Finding
+	for _, check := range []func(*Graph) []Finding{coupling, composite, vars, names} {
+		raw = append(raw, check(g)...)
+	}
 	raw = append(raw, a.termination(g, res)...)
 	raw = append(raw, a.confluence(g)...)
 	raw = append(raw, a.reachability(g, w)...)
@@ -273,13 +305,9 @@ func (a *Analyzer) buildGraph() *Graph {
 	for _, fs := range a.files {
 		for _, d := range fs.decls {
 			n := newNode(fs.name, d)
-			if _, dup := g.index[n.Name()]; dup {
-				// Duplicate names are a vet error; the analysis keeps
-				// the first definition so the graph stays a function
-				// of rule names.
-				continue
+			if _, dup := g.index[n.Name()]; !dup {
+				g.index[n.Name()] = len(g.Nodes)
 			}
-			g.index[n.Name()] = len(g.Nodes)
 			g.Nodes = append(g.Nodes, n)
 		}
 	}
@@ -324,59 +352,74 @@ func (a *Analyzer) buildGraph() *Graph {
 	return g
 }
 
-// newNode derives one rule's graph node from its declaration.
+// newNode derives one rule's graph node from its declaration in one
+// walk over the event, condition and action.
 func newNode(file string, d *rules.RuleDecl) *Node {
 	cond, action := d.Modes()
-	n := &Node{Decl: d, File: file, Cond: cond, Action: action}
-	classOf := d.ClassOf()
-	n.Terminals = terminals(d.Event, classOf, d.Name, true)
-
-	rw := &rwSets{classOf: classOf}
+	n := &Node{Decl: d, File: file, Cond: cond, Action: action,
+		Category: eca.CategoryOfKey(eventKind(d.Event), d.Scope == "global")}
+	w := &ruleWalk{n: n, classOf: d.ClassOf()}
+	w.event(d.Event, true)
 	if d.Cond != nil {
-		rw.walkExpr(d.Cond, "condition")
+		w.expr(d.Cond, "condition")
 	}
 	for _, s := range d.Actions {
 		switch st := s.(type) {
 		case rules.CallStmt:
-			rw.raiseCall(st.Call, "action")
+			w.call(st.Call, "action")
 		case rules.SetStmt:
-			if cls, ok := classOf[st.Target.Var]; ok && !scalar(cls) {
-				rw.raise(event.StateSpec{Class: cls, Attr: st.Target.Attr}.Key(), "action")
-				rw.write(cls + "." + st.Target.Attr)
+			w.ref(st.Target.Var, "action")
+			if cls, ok := w.classOf[st.Target.Var]; ok && !scalar(cls) {
+				w.raise(event.StateSpec{Class: cls, Attr: st.Target.Attr}.Key(), "action")
+				w.writes = addTo(w.writes, cls+"."+st.Target.Attr)
 			}
-			rw.walkExpr(st.Value, "action")
+			w.expr(st.Value, "action")
 		case rules.AbortStmt:
 			// Aborting the rule transaction surfaces as the trigger's
 			// abort; conservatively, rules on txn:abort may fire.
-			rw.raise(event.TxnSpec{Phase: event.Abort}.Key(), "action")
+			w.raise(event.TxnSpec{Phase: event.Abort}.Key(), "action")
 		}
 	}
-	n.Raises = rw.raises
-	n.Reads = sortedSet(rw.reads)
-	n.Writes = sortedSet(rw.writes)
+	n.Reads = sortedSet(w.reads)
+	n.Writes = sortedSet(w.writes)
 	return n
 }
 
-// terminals flattens an event expression into its primitive leaves.
-// triggering is cleared under not(): non-occurrence terminals cannot
-// initiate the rule.
-func terminals(e rules.EventExpr, classOf map[string]string, ruleName string, triggering bool) []Terminal {
+// eventKind is the event kind of a rule's triggering event: any
+// algebra expression defines a composite.
+func eventKind(e rules.EventExpr) event.Kind {
+	switch e.(type) {
+	case rules.MethodEvent:
+		return event.KindMethod
+	case rules.StateEvent:
+		return event.KindState
+	case rules.TxnEvent:
+		return event.KindTxn
+	case rules.TimeEvent:
+		return event.KindTemporal
+	}
+	return event.KindComposite
+}
+
+// leafKey returns the canonical event spec key of a primitive event
+// (the key the engine's ECA managers register under). It reports false
+// for an undeclared method receiver.
+func leafKey(e rules.EventExpr, classOf map[string]string, ruleName string) (string, bool) {
 	switch ev := e.(type) {
 	case rules.MethodEvent:
 		cls, ok := classOf[ev.Recv]
-		if !ok || scalar(cls) {
-			return nil // undeclared receiver: vet's finding, not ours
+		if !ok {
+			return "", false
 		}
 		when := event.Before
 		if ev.After {
 			when = event.After
 		}
-		key := event.MethodSpec{Class: cls, Method: ev.Method, When: when}.Key()
-		return []Terminal{{Key: key, Triggering: triggering}}
+		return event.MethodSpec{Class: cls, Method: ev.Method, When: when}.Key(), true
 	case rules.StateEvent:
-		return []Terminal{{Key: event.StateSpec{Class: ev.Class, Attr: ev.Attr}.Key(), Triggering: triggering}}
+		return event.StateSpec{Class: ev.Class, Attr: ev.Attr}.Key(), true
 	case rules.TxnEvent:
-		return []Terminal{{Key: event.TxnSpec{Phase: txnPhase(ev.Phase)}.Key(), Triggering: triggering}}
+		return event.TxnSpec{Phase: txnPhase(ev.Phase)}.Key(), true
 	case rules.TimeEvent:
 		var spec event.TemporalSpec
 		switch ev.Kind {
@@ -387,29 +430,29 @@ func terminals(e rules.EventExpr, classOf map[string]string, ruleName string, tr
 		default:
 			spec = event.TemporalSpec{Name: ruleName, Temporal: event.Relative, Delay: ev.Period}
 		}
-		return []Terminal{{Key: spec.Key(), Triggering: triggering}}
-	case rules.SeqEvent:
-		return terminalsAll(ev.Sub, classOf, ruleName, triggering)
-	case rules.AndEvent:
-		return terminalsAll(ev.Sub, classOf, ruleName, triggering)
-	case rules.OrEvent:
-		return terminalsAll(ev.Sub, classOf, ruleName, triggering)
-	case rules.NotEvent:
-		return terminals(ev.Sub, classOf, ruleName, false)
-	case rules.TimesEvent:
-		return terminals(ev.Sub, classOf, ruleName, triggering)
-	case rules.CloseEvent:
-		return terminals(ev.Sub, classOf, ruleName, triggering)
+		return spec.Key(), true
 	}
-	return nil
+	return "", false
 }
 
-func terminalsAll(subs []rules.EventExpr, classOf map[string]string, ruleName string, triggering bool) []Terminal {
-	var out []Terminal
-	for _, s := range subs {
-		out = append(out, terminals(s, classOf, ruleName, triggering)...)
+// subEvents returns the operands of a composite event expression, or
+// nil for a primitive one.
+func subEvents(e rules.EventExpr) []rules.EventExpr {
+	switch ev := e.(type) {
+	case rules.SeqEvent:
+		return ev.Sub
+	case rules.AndEvent:
+		return ev.Sub
+	case rules.OrEvent:
+		return ev.Sub
+	case rules.NotEvent:
+		return []rules.EventExpr{ev.Sub}
+	case rules.TimesEvent:
+		return []rules.EventExpr{ev.Sub}
+	case rules.CloseEvent:
+		return []rules.EventExpr{ev.Sub}
 	}
-	return out
+	return nil
 }
 
 func txnPhase(s string) event.TxnPhase {
@@ -434,64 +477,102 @@ func scalar(cls string) bool {
 	return false
 }
 
-// rwSets accumulates raised events and attribute read/write sets while
-// walking condition and action expressions.
-type rwSets struct {
-	classOf map[string]string
-	raises  []Raised
-	reads   map[string]bool
-	writes  map[string]bool
+// ruleWalk accumulates a node's terminals, raised events, attribute
+// read/write sets and variable references while walking its rule.
+type ruleWalk struct {
+	n             *Node
+	classOf       map[string]string
+	reads, writes map[string]bool
 }
 
-func (rw *rwSets) raise(key, via string) {
-	for _, r := range rw.raises {
+// event flattens an event expression into the node's terminals.
+// triggering is cleared under not(): non-occurrence terminals cannot
+// initiate the rule.
+func (w *ruleWalk) event(e rules.EventExpr, triggering bool) {
+	if subs := subEvents(e); subs != nil {
+		if _, neg := e.(rules.NotEvent); neg {
+			triggering = false
+		}
+		for _, s := range subs {
+			w.event(s, triggering)
+		}
+		return
+	}
+	if m, ok := e.(rules.MethodEvent); ok {
+		w.ref(m.Recv, "event")
+		for _, p := range m.Params {
+			w.ref(p, "event")
+		}
+	}
+	key, ok := leafKey(e, w.classOf, w.n.Name())
+	if !ok {
+		w.n.unbound = true
+		return
+	}
+	w.n.Terminals = append(w.n.Terminals, Terminal{Key: key, Triggering: triggering})
+}
+
+// ref records a variable reference at its first use.
+func (w *ruleWalk) ref(name, where string) {
+	if name == "" {
+		return
+	}
+	for _, r := range w.n.refs {
+		if r.name == name {
+			return
+		}
+	}
+	w.n.refs = append(w.n.refs, varRef{name: name, where: where})
+}
+
+func (w *ruleWalk) raise(key, via string) {
+	for _, r := range w.n.Raises {
 		if r.Key == key && r.Via == via {
 			return
 		}
 	}
-	rw.raises = append(rw.raises, Raised{Key: key, Via: via})
+	w.n.Raises = append(w.n.Raises, Raised{Key: key, Via: via})
 }
 
-func (rw *rwSets) read(attr string) {
-	if rw.reads == nil {
-		rw.reads = make(map[string]bool)
-	}
-	rw.reads[attr] = true
-}
-
-func (rw *rwSets) write(attr string) {
-	if rw.writes == nil {
-		rw.writes = make(map[string]bool)
-	}
-	rw.writes[attr] = true
-}
-
-// raiseCall records the before/after method events of one invocation
-// and walks its arguments.
-func (rw *rwSets) raiseCall(c rules.CallExpr, via string) {
-	if cls, ok := rw.classOf[c.Recv]; ok && !scalar(cls) {
-		rw.raise(event.MethodSpec{Class: cls, Method: c.Method, When: event.Before}.Key(), via)
-		rw.raise(event.MethodSpec{Class: cls, Method: c.Method, When: event.After}.Key(), via)
+// call records the before/after method events of one invocation and
+// walks its arguments.
+func (w *ruleWalk) call(c rules.CallExpr, via string) {
+	w.ref(c.Recv, via)
+	if cls, ok := w.classOf[c.Recv]; ok && !scalar(cls) {
+		w.raise(event.MethodSpec{Class: cls, Method: c.Method, When: event.Before}.Key(), via)
+		w.raise(event.MethodSpec{Class: cls, Method: c.Method, When: event.After}.Key(), via)
 	}
 	for _, a := range c.Args {
-		rw.walkExpr(a, via)
+		w.expr(a, via)
 	}
 }
 
-func (rw *rwSets) walkExpr(e rules.Expr, via string) {
+func (w *ruleWalk) expr(e rules.Expr, via string) {
 	switch x := e.(type) {
+	case rules.VarRef:
+		w.ref(x.Name, via)
 	case rules.AttrRef:
-		if cls, ok := rw.classOf[x.Var]; ok && !scalar(cls) {
-			rw.read(cls + "." + x.Attr)
+		w.ref(x.Var, via)
+		if cls, ok := w.classOf[x.Var]; ok && !scalar(cls) {
+			w.reads = addTo(w.reads, cls+"."+x.Attr)
 		}
 	case rules.CallExpr:
-		rw.raiseCall(x, via)
+		w.call(x, via)
 	case rules.BinOp:
-		rw.walkExpr(x.L, via)
-		rw.walkExpr(x.R, via)
+		w.expr(x.L, via)
+		w.expr(x.R, via)
 	case rules.UnOp:
-		rw.walkExpr(x.X, via)
+		w.expr(x.X, via)
 	}
+}
+
+// addTo adds key to a lazily allocated set.
+func addTo(set map[string]bool, key string) map[string]bool {
+	if set == nil {
+		set = make(map[string]bool)
+	}
+	set[key] = true
+	return set
 }
 
 func sortedSet(m map[string]bool) []string {

@@ -265,6 +265,44 @@ rule NeverInit {
 	}
 }
 
+// TestUndeclaredReceiverIsOneVarsError: an event on an undeclared
+// receiver has no key; the rule gets the vars error alone, not a
+// reachability warning claiming every constituent is negated.
+func TestUndeclaredReceiverIsOneVarsError(t *testing.T) {
+	src := `
+rule Poke {
+    decl int v;
+    event after d->poke(v);
+    action detached abort "x";
+};
+`
+	res := Analyze("poke.rules", src, parse(t, src), nil)
+	if len(res.Findings) != 1 {
+		t.Fatalf("findings = %v, want exactly one", res.Findings)
+	}
+	f := res.Findings[0]
+	if f.Analyzer != "vars" || f.Severity != Error || f.Msg != `undeclared variable "d" referenced in event` {
+		t.Errorf("finding = %v, want the vars error on d", f)
+	}
+}
+
+// TestPerRuleFindingsSuppressible: the per-rule analyzers share the
+// lint:allow syntax of the graph analyzers.
+func TestPerRuleFindingsSuppressible(t *testing.T) {
+	src := `
+# lint:allow coupling the temporal abort is a documented test fixture
+rule Tick {
+    event every 1h;
+    action imm abort "x";
+};
+`
+	res := Analyze("tick.rules", src, parse(t, src), nil)
+	// Both the condition and the action mode fail Table 1.
+	if len(res.Findings) != 0 || res.Suppressed != 2 {
+		t.Errorf("findings = %v, suppressed = %d; want both coupling errors suppressed", res.Findings, res.Suppressed)
+	}
+}
+
 func TestReachabilityClosedWorld(t *testing.T) {
 	src := `
 rule Ghost {

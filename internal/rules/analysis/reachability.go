@@ -60,7 +60,9 @@ func (a *Analyzer) reachability(g *Graph, w *World) []Finding {
 
 	var out []Finding
 	for i, n := range g.Nodes {
-		if fireable[i] {
+		if fireable[i] || n.unbound {
+			// An unbound rule's event names an undeclared receiver; its
+			// vars finding says why it cannot fire.
 			continue
 		}
 		n.Unreachable = true
@@ -133,12 +135,8 @@ func completable(e rules.EventExpr, classOf map[string]string, ruleName string, 
 	case rules.CloseEvent:
 		return completable(ev.Sub, classOf, ruleName, raisable)
 	}
-	for _, t := range terminals(e, classOf, ruleName, true) {
-		if !raisable(t.Key) {
-			return false
-		}
-	}
-	return true
+	key, ok := leafKey(e, classOf, ruleName)
+	return ok && raisable(key)
 }
 
 func allCompletable(subs []rules.EventExpr, classOf map[string]string, ruleName string, raisable func(string) bool) bool {

@@ -3,21 +3,7 @@ package analysis
 import (
 	"sort"
 	"strings"
-
-	"repro/internal/eca"
 )
-
-// ord mirrors the engine's coupling phase ordering: immediate <
-// deferred < every detached variant.
-func ord(c eca.Coupling) int {
-	switch c {
-	case eca.Immediate:
-		return 0
-	case eca.Deferred:
-		return 1
-	}
-	return 2
-}
 
 // termination finds cycles in the triggering graph and, for acyclic
 // sets, computes the static cascade-depth bound. A cycle of
@@ -27,17 +13,24 @@ func ord(c eca.Coupling) int {
 // member carries a timeout or breaker clause that bounds it at run
 // time, which demotes the cycle to a warning.
 func (a *Analyzer) termination(g *Graph, res *Result) []Finding {
-	var out []Finding
+	var comps [][]int
 	for _, comp := range sccs(len(g.Nodes), g.succ) {
-		if !cyclic(comp, g.succ) {
-			continue
+		if cyclic(comp, g.succ) {
+			sort.Ints(comp) // comp[0] anchors the cycle
+			comps = append(comps, comp)
 		}
+	}
+	sort.SliceStable(comps, func(i, j int) bool {
+		a, b := g.Nodes[comps[i][0]], g.Nodes[comps[j][0]]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		return a.Decl.Line < b.Decl.Line
+	})
+	var out []Finding
+	for _, comp := range comps {
 		cyc := buildCycle(g, comp)
 		res.Cycles = append(res.Cycles, cyc)
-		for _, name := range cyc.Rules {
-			g.Node(name).InCycle = true
-		}
-		anchor := g.Node(cyc.Rules[0])
 		why := "immediate/deferred coupling recurses inside the triggering transaction"
 		if cyc.Detached {
 			if cyc.Guarded {
@@ -46,16 +39,9 @@ func (a *Analyzer) termination(g *Graph, res *Result) []Finding {
 				why = "detached cascade with no timeout or breaker clause"
 			}
 		}
-		out = append(out, finding(anchor, "termination", cyc.Severity,
+		out = append(out, finding(g.Nodes[comp[0]], "termination", cyc.Severity,
 			"rule cycle %s (%s)", cyc, why))
 	}
-	sort.SliceStable(res.Cycles, func(i, j int) bool {
-		a, b := g.Node(res.Cycles[i].Rules[0]), g.Node(res.Cycles[j].Rules[0])
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		return a.Decl.Line < b.Decl.Line
-	})
 	if len(res.Cycles) == 0 {
 		res.DepthBound = longestChain(g)
 	}
@@ -76,11 +62,10 @@ func cyclic(comp []int, succ map[int][]int) bool {
 	return false
 }
 
-// buildCycle extracts one concrete closed path through the SCC,
-// anchored at the member that appears earliest in the input, and
-// classifies it.
+// buildCycle extracts one concrete closed path through the sorted SCC,
+// anchored at the member that appears earliest in the input, marks its
+// members InCycle, and classifies it.
 func buildCycle(g *Graph, comp []int) Cycle {
-	sort.Ints(comp)
 	anchor := comp[0]
 	member := make(map[int]bool, len(comp))
 	for _, i := range comp {
@@ -90,8 +75,9 @@ func buildCycle(g *Graph, comp []int) Cycle {
 	c := Cycle{}
 	for _, i := range path {
 		n := g.Nodes[i]
+		n.InCycle = true
 		c.Rules = append(c.Rules, n.Name())
-		if ord(n.Action) >= 2 || ord(n.Cond) >= 2 {
+		if n.Action.Order() >= 2 || n.Cond.Order() >= 2 {
 			c.Detached = true
 		}
 		if n.Decl.Timeout != 0 || n.Decl.BreakerSet {
@@ -249,7 +235,7 @@ func (a *Analyzer) confluence(g *Graph) []Finding {
 	var out []Finding
 	for i, p := range g.Nodes {
 		for _, q := range g.Nodes[i+1:] {
-			if p.Decl.Prio != q.Decl.Prio || ord(p.Action) != ord(q.Action) {
+			if p.Decl.Prio != q.Decl.Prio || p.Action.Order() != q.Action.Order() {
 				continue
 			}
 			if ww := intersect(p.Writes, q.Writes); len(ww) > 0 {

@@ -67,46 +67,3 @@ rule Tuned {
 		t.Errorf("ActionMode = %v, want detached", r.ActionMode)
 	}
 }
-
-// TestVetRobustnessOnCoupledRules rejects the executor clauses on
-// rules that run inside the triggering transaction: the executor
-// never sees them, so the clauses would be silently dead.
-func TestVetRobustnessOnCoupledRules(t *testing.T) {
-	diags := vetSrc(t, `
-rule Imm {
-    decl River *r, int x;
-    event after r->updateWaterLevel(x);
-    timeout 1s;
-    action imm abort "x";
-};
-rule Def {
-    decl River *r, int x;
-    event after r->updateWaterLevel(x);
-    retry 2;
-    breaker 3;
-    action deferred r->getWaterTemp();
-};`)
-	wantDiag(t, diags, "timeout clause applies only to detached-coupled rules")
-	wantDiag(t, diags, "retry clause applies only to detached-coupled rules")
-	wantDiag(t, diags, "breaker clause applies only to detached-coupled rules")
-	if len(diags) != 3 {
-		t.Errorf("diags = %v, want exactly 3", diags)
-	}
-}
-
-// TestVetRobustnessOnDetachedRule accepts the clauses on every
-// detached variant.
-func TestVetRobustnessOnDetachedRule(t *testing.T) {
-	diags := vetSrc(t, `
-rule Det {
-    decl River *r, int x;
-    event after r->updateWaterLevel(x);
-    timeout 1s;
-    retry 2;
-    breaker 3;
-    action sequential r->getWaterTemp();
-};`)
-	if len(diags) != 0 {
-		t.Errorf("detached rule with executor clauses produced diagnostics: %v", diags)
-	}
-}

@@ -1,20 +1,35 @@
-package rules
+package rules_test
 
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/rules"
+	"repro/internal/rules/analysis"
 )
 
-func vetSrc(t *testing.T, src string) []Diag {
+// These tests pin the per-rule analyzers (coupling, composite, vars,
+// names) of the rule-set analysis; vetSrc keeps only their errors.
+func vetSrc(t *testing.T, src string) []analysis.Finding {
 	t.Helper()
-	decls, err := Parse(src)
+	decls, err := rules.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return Vet("test.rules", decls)
+	return errorsOf(analysis.Analyze("test.rules", src, decls, nil))
 }
 
-func wantDiag(t *testing.T, diags []Diag, substr string) {
+func errorsOf(res *analysis.Result) []analysis.Finding {
+	var out []analysis.Finding
+	for _, f := range res.Findings {
+		if f.Severity == analysis.Error {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+func wantDiag(t *testing.T, diags []analysis.Finding, substr string) {
 	t.Helper()
 	for _, d := range diags {
 		if strings.Contains(d.Msg, substr) {
@@ -226,26 +241,71 @@ rule Same {
     event after s->read(a);
     action deferred s->alarm();
 };`
-	declsA, err := Parse(src)
+	declsA, err := rules.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	declsB, err := Parse(src)
+	declsB, err := rules.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := NewVetter()
-	if diags := v.Vet("a.rules", declsA); len(diags) != 0 {
-		t.Fatalf("first file should vet clean: %v", diags)
-	}
-	diags := v.Vet("b.rules", declsB)
+	az := analysis.New()
+	az.Add("a.rules", src, declsA)
+	az.Add("b.rules", src, declsB)
+	diags := errorsOf(az.Run(nil))
 	wantDiag(t, diags, "duplicate rule name (first defined at a.rules:2)")
+	if len(diags) != 1 || diags[0].File != "b.rules" || diags[0].Analyzer != "names" {
+		t.Errorf("diags = %v, want one names error on b.rules", diags)
+	}
+}
+
+// TestVetRobustnessOnCoupledRules rejects the executor clauses on
+// rules that run inside the triggering transaction: the executor
+// never sees them, so the clauses would be silently dead.
+func TestVetRobustnessOnCoupledRules(t *testing.T) {
+	diags := vetSrc(t, `
+rule Imm {
+    decl River *r, int x;
+    event after r->updateWaterLevel(x);
+    timeout 1s;
+    action imm abort "x";
+};
+rule Def {
+    decl River *r, int x;
+    event after r->updateWaterLevel(x);
+    retry 2;
+    breaker 3;
+    action deferred r->getWaterTemp();
+};`)
+	wantDiag(t, diags, "timeout clause applies only to detached-coupled rules")
+	wantDiag(t, diags, "retry clause applies only to detached-coupled rules")
+	wantDiag(t, diags, "breaker clause applies only to detached-coupled rules")
+	if len(diags) != 3 {
+		t.Errorf("diags = %v, want exactly 3", diags)
+	}
+}
+
+// TestVetRobustnessOnDetachedRule accepts the clauses on every
+// detached variant.
+func TestVetRobustnessOnDetachedRule(t *testing.T) {
+	diags := vetSrc(t, `
+rule Det {
+    decl River *r, int x;
+    event after r->updateWaterLevel(x);
+    timeout 1s;
+    retry 2;
+    breaker 3;
+    action sequential r->getWaterTemp();
+};`)
+	if len(diags) != 0 {
+		t.Errorf("detached rule with executor clauses produced diagnostics: %v", diags)
+	}
 }
 
 // TestVetLineNumbers pins the Line field the parser stamps on each
 // declaration — the anchor every diagnostic position depends on.
 func TestVetLineNumbers(t *testing.T) {
-	decls, err := Parse(`rule A {
+	decls, err := rules.Parse(`rule A {
     event bot;
     action deferred abort "x";
 };

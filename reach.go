@@ -292,28 +292,14 @@ type RuleDecl = rules.RuleDecl
 // (syntax checking, e.g. for the rulec tool).
 func ParseRules(src string) ([]*rules.RuleDecl, error) { return rules.Parse(src) }
 
-// RuleDiag is a semantic diagnostic from VetRules.
-type RuleDiag = rules.Diag
-
-// RuleVetter accumulates rule names across files so duplicate
-// definitions are caught over a whole rule set.
-type RuleVetter = rules.Vetter
-
-// NewRuleVetter returns a vetter for a multi-file rule set.
-var NewRuleVetter = rules.NewVetter
-
-// VetRules checks parsed rules for semantic errors the parser cannot
-// see: Table 1-invalid coupling/category pairs, cross-transaction
-// composites without validity, unknown consumption policies, and
-// undeclared variable references.
-func VetRules(file string, decls []*rules.RuleDecl) []RuleDiag { return rules.Vet(file, decls) }
-
-// Whole-ruleset interaction analysis: the triggering graph connecting
-// rules through the events their actions raise, with termination
-// (cycle detection, static cascade-depth bound), confluence
-// (order-dependent equal-priority pairs), and reachability (rules
-// whose event can never be raised) checks. Embedders can gate rule
-// registration on RuleAnalysis.HasErrors before calling LoadRules.
+// Rule-set analysis, the one rule checker: per-rule checks (Table 1
+// coupling admission, composite clauses, declared variables, unique
+// names) and the triggering graph connecting rules through the events
+// their actions raise, with termination (cycle detection, static
+// cascade-depth bound), confluence (order-dependent equal-priority
+// pairs), and reachability (rules whose event can never be raised)
+// checks. Embedders can gate rule registration on
+// RuleAnalysis.HasErrors before calling LoadRules.
 type (
 	// RuleAnalyzer accumulates rule files and analyzes them as one set.
 	RuleAnalyzer = analysis.Analyzer

@@ -8,10 +8,11 @@ import (
 	reach "repro"
 )
 
-// TestExampleRulesVetClean parses and vets every .rules file shipped
-// with the examples. A rule edit that drifts into Table 1-invalid
-// territory — or an engine change that re-categorizes an event — fails
-// here, in tier-1, before it fails at load time in a demo.
+// TestExampleRulesVetClean parses every .rules file shipped with the
+// examples and analyzes them as one set. A rule edit that drifts into
+// Table 1-invalid territory — or an engine change that re-categorizes
+// an event — fails here, in tier-1, before it fails at load time in a
+// demo.
 func TestExampleRulesVetClean(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("examples", "*", "rules", "*.rules"))
 	if err != nil {
@@ -20,7 +21,7 @@ func TestExampleRulesVetClean(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no example rule files found; the glob or the layout moved")
 	}
-	vetter := reach.NewRuleVetter()
+	az := reach.NewRuleAnalyzer()
 	for _, path := range paths {
 		src, err := os.ReadFile(path)
 		if err != nil {
@@ -31,8 +32,11 @@ func TestExampleRulesVetClean(t *testing.T) {
 			t.Errorf("%s: %v", path, err)
 			continue
 		}
-		for _, d := range vetter.Vet(path, decls) {
-			t.Errorf("%s", d)
+		az.Add(path, string(src), decls)
+	}
+	for _, f := range az.Run(nil).Findings {
+		if f.Severity == reach.RuleError {
+			t.Errorf("%s", f)
 		}
 	}
 }
